@@ -82,7 +82,16 @@ impl Attitude {
 
     /// Rotates a vector from the body frame into the world frame.
     pub fn body_to_world(self, v: Vec3) -> Vec3 {
-        let m = self.rotation_matrix();
+        Self::rotate(&self.rotation_matrix(), v)
+    }
+
+    /// Multiplies `v` by a rotation matrix from [`Attitude::rotation_matrix`].
+    ///
+    /// `body_to_world` is this with a freshly built matrix; callers that
+    /// rotate many vectors by one attitude build the matrix once and get
+    /// bit-identical results.
+    #[inline]
+    pub fn rotate(m: &[[f64; 3]; 3], v: Vec3) -> Vec3 {
         Vec3::new(
             m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
             m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,

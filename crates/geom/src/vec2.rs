@@ -87,7 +87,14 @@ impl Vec2 {
     /// Rotates the vector counter-clockwise by `angle` radians.
     #[inline]
     pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
+        self.rotated_sin_cos(angle.sin_cos())
+    }
+
+    /// [`Vec2::rotated`] by the angle whose `sin_cos()` is `(s, c)`: callers
+    /// rotating many vectors by one angle evaluate the sine and cosine once
+    /// and get bit-identical results.
+    #[inline]
+    pub fn rotated_sin_cos(self, (s, c): (f64, f64)) -> Vec2 {
         Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
     }
 

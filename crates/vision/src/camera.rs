@@ -176,12 +176,16 @@ impl Camera {
         }
     }
 
+    /// The body-frame unit direction of the ray through `pixel`: the half of
+    /// [`Camera::pixel_ray`] that does not depend on the vehicle pose.
+    pub(crate) fn body_direction(&self, pixel: Vec2) -> Vec3 {
+        self.camera_to_body(self.intrinsics.unproject(pixel))
+    }
+
     /// The world-frame ray passing through `pixel` for a vehicle at
     /// `vehicle_pose`.
     pub fn pixel_ray(&self, vehicle_pose: &Pose, pixel: Vec2) -> Ray {
-        let dir_cam = self.intrinsics.unproject(pixel);
-        let dir_body = self.camera_to_body(dir_cam);
-        let dir_world = vehicle_pose.transform_direction(dir_body);
+        let dir_world = vehicle_pose.transform_direction(self.body_direction(pixel));
         Ray::new(vehicle_pose.position, dir_world)
     }
 

@@ -386,14 +386,17 @@ pub(crate) fn sample_cells(
     ];
     let homography = Homography::from_correspondences(&canonical, corners).ok()?;
     let ss = subsamples.max(1);
+    // Canonical sample coordinates along either axis, `ss` per cell: the
+    // cell index plus the sub-sample offset.
+    let axis: Vec<f64> = (0..MARKER_CELLS)
+        .flat_map(|cell| (0..ss).map(move |s| cell as f64 + (s as f64 + 0.5) / ss as f64))
+        .collect();
     let mut cells = [[0.0f32; MARKER_CELLS]; MARKER_CELLS];
     for row in 0..MARKER_CELLS {
         for col in 0..MARKER_CELLS {
             let mut sum = 0.0f32;
-            for sy in 0..ss {
-                for sx in 0..ss {
-                    let u = col as f64 + (sx as f64 + 0.5) / ss as f64;
-                    let v = row as f64 + (sy as f64 + 0.5) / ss as f64;
+            for &v in &axis[row * ss..(row + 1) * ss] {
+                for &u in &axis[col * ss..(col + 1) * ss] {
                     let p = homography.apply(Vec2::new(u, v));
                     sum += image.sample_bilinear(p.x, p.y);
                 }

@@ -137,20 +137,35 @@ impl GrayImage {
     ///
     /// Non-finite coordinates (which can arise from degenerate homographies)
     /// sample as black.
+    #[inline]
     pub fn sample_bilinear(&self, x: f64, y: f64) -> f32 {
-        if !x.is_finite() || !y.is_finite() {
-            return 0.0;
+        let (fx, fy, p00, p10, p01, p11);
+        if x >= 0.0 && y >= 0.0 && x < (self.width - 1) as f64 && y < (self.height - 1) as f64 {
+            // All four taps lie inside the image, so clamping is a no-op and
+            // truncation is the floor (NaN fails the test).
+            let (x0, y0) = (x as i64, y as i64);
+            fx = (x - x0 as f64) as f32;
+            fy = (y - y0 as f64) as f32;
+            let i = y0 as usize * self.width + x0 as usize;
+            let below = i + self.width;
+            (p00, p10) = (self.data[i], self.data[i + 1]);
+            (p01, p11) = (self.data[below], self.data[below + 1]);
+        } else {
+            if !x.is_finite() || !y.is_finite() {
+                return 0.0;
+            }
+            let x = x.clamp(-1.0, self.width as f64 + 1.0);
+            let y = y.clamp(-1.0, self.height as f64 + 1.0);
+            let x0 = x.floor() as i64;
+            let y0 = y.floor() as i64;
+            fx = (x - x0 as f64) as f32;
+            fy = (y - y0 as f64) as f32;
+            (p00, p10) = (self.get_clamped(x0, y0), self.get_clamped(x0 + 1, y0));
+            (p01, p11) = (
+                self.get_clamped(x0, y0 + 1),
+                self.get_clamped(x0 + 1, y0 + 1),
+            );
         }
-        let x = x.clamp(-1.0, self.width as f64 + 1.0);
-        let y = y.clamp(-1.0, self.height as f64 + 1.0);
-        let x0 = x.floor() as i64;
-        let y0 = y.floor() as i64;
-        let fx = (x - x0 as f64) as f32;
-        let fy = (y - y0 as f64) as f32;
-        let p00 = self.get_clamped(x0, y0);
-        let p10 = self.get_clamped(x0 + 1, y0);
-        let p01 = self.get_clamped(x0, y0 + 1);
-        let p11 = self.get_clamped(x0 + 1, y0 + 1);
         let top = p00 * (1.0 - fx) + p10 * fx;
         let bottom = p01 * (1.0 - fx) + p11 * fx;
         top * (1.0 - fy) + bottom * fy
@@ -399,6 +414,19 @@ mod tests {
         assert!((img.sample_bilinear(0.5, 0.0) - 0.5).abs() < 1e-6);
         assert!((img.sample_bilinear(0.0, 0.0) - 0.0).abs() < 1e-6);
         assert!((img.sample_bilinear(1.0, 0.0) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bilinear_sampling_clamps_at_the_border() {
+        let mut img = GrayImage::new(3, 2);
+        img.set(2, 0, 1.0);
+        img.set(2, 1, 0.5);
+        // Past the right edge every tap clamps onto the last column.
+        assert_eq!(img.sample_bilinear(2.5, 0.0), 1.0);
+        assert_eq!(img.sample_bilinear(50.0, 1.0), 0.5);
+        assert_eq!(img.sample_bilinear(-3.0, 0.0), 0.0);
+        assert_eq!(img.sample_bilinear(f64::NAN, 0.0), 0.0);
+        assert_eq!(img.sample_bilinear(0.0, f64::INFINITY), 0.0);
     }
 
     #[test]

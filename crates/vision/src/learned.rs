@@ -29,7 +29,12 @@ use crate::classical::{
     adaptive_dark_mask, connected_components, dedupe_detections, quad_from_points,
     quad_is_plausible, sample_cells,
 };
-use crate::{Detection, GrayImage, MarkerDetector, MarkerDictionary, MARKER_CELLS};
+use crate::{
+    Detection, GrayImage, MarkerCode, MarkerDetector, MarkerDictionary, MARKER_CELLS, PAYLOAD_CELLS,
+};
+
+/// Payload cells, one bit each in a [`MarkerCode`].
+const PAYLOAD_BITS: usize = PAYLOAD_CELLS * PAYLOAD_CELLS;
 
 /// Configuration of the learned-detector surrogate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,6 +128,9 @@ pub struct ScoredCandidate {
 pub struct LearnedDetector {
     dictionary: MarkerDictionary,
     config: LearnedDetectorConfig,
+    /// Per code, in id order: for each of the four rotations, the payload
+    /// bits the code predicts at each observed cell (bit `row * 4 + col`).
+    expected_bits: Vec<[u16; 4]>,
 }
 
 impl LearnedDetector {
@@ -133,7 +141,15 @@ impl LearnedDetector {
 
     /// Creates a detector with an explicit configuration.
     pub fn with_config(dictionary: MarkerDictionary, config: LearnedDetectorConfig) -> Self {
-        Self { dictionary, config }
+        let expected_bits = dictionary
+            .iter()
+            .map(|(_, code)| expected_bits(code))
+            .collect();
+        Self {
+            dictionary,
+            config,
+            expected_bits,
+        }
     }
 
     /// The dictionary markers are decoded against.
@@ -259,48 +275,50 @@ impl LearnedDetector {
         }
         border_score /= border_cells;
 
-        // Payload score against every code and rotation.
-        let payload_cells = MARKER_CELLS - 2;
-        let mut observed = [[0.0f64; 4]; 4];
-        let mut weights = [[0.0f64; 4]; 4];
-        for row in 0..payload_cells {
-            for col in 0..payload_cells {
-                let (value, weight) = bit(row + 1, col + 1);
-                observed[row][col] = value;
-                weights[row][col] = weight;
+        // Payload score against every code and rotation. Each payload cell
+        // contributes one of two terms, indexed by whether the code expects
+        // its observed bit (1) or not (0); the terms are summed in cell
+        // order, which fixes the rounding of the sum.
+        let mut observed: u16 = 0;
+        let mut terms = [[0.0f64; 2]; PAYLOAD_BITS];
+        for row in 0..PAYLOAD_CELLS {
+            for col in 0..PAYLOAD_CELLS {
+                let (value, w) = bit(row + 1, col + 1);
+                let cell = row * PAYLOAD_CELLS + col;
+                if value > 0.5 {
+                    observed |= 1 << cell;
+                }
+                terms[cell] = [0.0, 1.0].map(|agreement| w * agreement + (1.0 - w) * 0.5);
             }
         }
 
-        let mut scored_codes: Vec<(u32, f64)> = Vec::with_capacity(self.dictionary.len());
-        for (id, code) in self.dictionary.iter() {
+        // Best and runner-up code. A tie keeps the lowest id and leaves a
+        // zero margin.
+        let mut best: Option<(u32, f64)> = None;
+        let mut second = 0.0f64;
+        for (id, rotations) in self.expected_bits.iter().enumerate() {
             let mut best_rotation_score = 0.0f64;
-            for rotation in 0..4 {
+            for &expected in rotations {
+                let agreeing = !(observed ^ expected);
                 let mut score = 0.0;
-                for row in 0..payload_cells {
-                    for col in 0..payload_cells {
-                        let (r, c) = rotate_cell(row, col, rotation, payload_cells);
-                        let expected = if code & (1 << (r * payload_cells + c)) != 0 {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        let w = weights[row][col];
-                        let agreement = if (observed[row][col] - expected).abs() < 0.5 {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        score += w * agreement + (1.0 - w) * 0.5;
-                    }
+                for (cell, term) in terms.iter().enumerate() {
+                    score += term[usize::from((agreeing >> cell) & 1)];
                 }
-                best_rotation_score =
-                    best_rotation_score.max(score / (payload_cells * payload_cells) as f64);
+                best_rotation_score = best_rotation_score.max(score / PAYLOAD_BITS as f64);
             }
-            scored_codes.push((id, best_rotation_score));
+            match best {
+                Some((_, top)) if best_rotation_score <= top => {
+                    second = second.max(best_rotation_score);
+                }
+                _ => {
+                    if let Some((_, top)) = best {
+                        second = top;
+                    }
+                    best = Some((id as u32, best_rotation_score));
+                }
+            }
         }
-        scored_codes.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let (id, payload_score) = *scored_codes.first()?;
-        let second = scored_codes.get(1).map(|s| s.1).unwrap_or(0.0);
+        let (id, payload_score) = best?;
         let contrast_factor = ((contrast as f64) / 0.12).clamp(0.0, 1.0);
         let score = (0.6 * payload_score + 0.4 * border_score) * (0.4 + 0.6 * contrast_factor);
         Some(ScoredCandidate {
@@ -339,6 +357,23 @@ impl MarkerDetector for LearnedDetector {
     fn relative_cost(&self) -> f64 {
         self.config.relative_cost
     }
+}
+
+/// For each of the four rotations, the payload bits `code` predicts at each
+/// observed cell (bit `row * 4 + col`).
+fn expected_bits(code: MarkerCode) -> [u16; 4] {
+    [0, 1, 2, 3].map(|rotation| {
+        let mut expected: u16 = 0;
+        for row in 0..PAYLOAD_CELLS {
+            for col in 0..PAYLOAD_CELLS {
+                let (r, c) = rotate_cell(row, col, rotation, PAYLOAD_CELLS);
+                if code & (1 << (r * PAYLOAD_CELLS + c)) != 0 {
+                    expected |= 1 << (row * PAYLOAD_CELLS + col);
+                }
+            }
+        }
+        expected
+    })
 }
 
 /// Rotates payload cell coordinates by `rotation` clockwise quarter turns.
@@ -476,6 +511,26 @@ mod tests {
         assert!(detector.detect(&frame).is_empty());
         detector.set_acceptance_threshold(0.5);
         assert!(!detector.detect(&frame).is_empty());
+    }
+
+    #[test]
+    fn soft_score_ties_go_to_the_lowest_id_with_zero_margin() {
+        // On a uniform image every cell weight is zero, so all codes score
+        // exactly 0.5 in every rotation: the lowest id must win and the
+        // margin to the runner-up must be zero.
+        let detector = LearnedDetector::new(MarkerDictionary::standard());
+        let image = GrayImage::new(64, 64);
+        let corners = [
+            Vec2::new(8.0, 8.0),
+            Vec2::new(56.0, 8.0),
+            Vec2::new(56.0, 56.0),
+            Vec2::new(8.0, 56.0),
+        ];
+        let scored = detector
+            .soft_score(&image, &corners)
+            .expect("a square quad samples");
+        assert_eq!(scored.id, 0);
+        assert_eq!(scored.margin, 0.0);
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //!   pipeline from scratch in [`classical`].
 //! * **MLS-V2/V3** use *TPH-YOLO*, a transformer-augmented YOLOv5 trained on a
 //!   synthetic AirSim dataset. We cannot train a deep network here, so
-//!   [`learned`] provides a *trained-model surrogate*: a multi-scale
-//!   template-correlation detector whose robustness margins are calibrated by
-//!   an offline synthetic training pass ([`training`]). The surrogate keeps
+//!   [`learned`] provides a *trained-model surrogate*: local contrast
+//!   normalisation of the frame, permissive candidate proposals from dark
+//!   connected components, corner refinement by hill-climbing on the decode
+//!   score, and soft-bit decoding of every cell against every dictionary code
+//!   in all four rotations. Its acceptance threshold is calibrated by an
+//!   offline synthetic training pass ([`training`]). The surrogate keeps
 //!   the property the paper actually measures — markedly better detection
 //!   under blur, occlusion, glare, low light and sensor noise — while running
 //!   on the very same rendered frames as the classical detector.

@@ -7,10 +7,10 @@
 //! flows through the degradation model and the detectors exactly as a real
 //! camera frame would.
 
-use mls_geom::{Pose, Vec2};
+use mls_geom::{Attitude, Pose, Ray, Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 
-use crate::{Camera, GrayImage, MarkerDictionary, VisionError, MARKER_CELLS};
+use crate::{Camera, GrayImage, MarkerDictionary, MARKER_CELLS};
 
 /// A fiducial marker placed flat on the ground plane.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -182,6 +182,7 @@ impl MarkerRenderer {
     /// squares (they still look like "something marker-like", which is how
     /// false-positive markers are modelled in the scenario generator).
     pub fn render(&self, camera: &Camera, vehicle_pose: &Pose, scene: &GroundScene) -> GrayImage {
+        let frame = FrameState::new(self, camera, vehicle_pose, scene);
         let w = camera.intrinsics.width;
         let h = camera.intrinsics.height;
         let mut image = GrayImage::new(w, h);
@@ -196,7 +197,7 @@ impl MarkerRenderer {
                             x as f64 + (sx as f64 + 0.5) * inv_ss,
                             y as f64 + (sy as f64 + 0.5) * inv_ss,
                         );
-                        sum += self.shade_pixel(camera, vehicle_pose, scene, px);
+                        sum += frame.shade(px);
                     }
                 }
                 image.set(x, y, sum / (ss * ss) as f32);
@@ -204,31 +205,61 @@ impl MarkerRenderer {
         }
         image
     }
+}
+
+/// What one frame shares across all of its rays: the attitude's rotation
+/// matrix and each marker's trigonometry and cell pattern.
+struct FrameState<'a> {
+    camera: &'a Camera,
+    position: Vec3,
+    rotation: [[f64; 3]; 3],
+    ground: &'a GroundAppearance,
+    markers: Vec<PaintedMarker>,
+    shadows: &'a [ShadowDisc],
+    sky_luminance: f32,
+}
+
+impl<'a> FrameState<'a> {
+    fn new(
+        renderer: &MarkerRenderer,
+        camera: &'a Camera,
+        vehicle_pose: &Pose,
+        scene: &'a GroundScene,
+    ) -> Self {
+        Self {
+            camera,
+            position: vehicle_pose.position,
+            rotation: vehicle_pose.attitude.rotation_matrix(),
+            ground: &scene.ground,
+            markers: scene
+                .markers
+                .iter()
+                .map(|marker| PaintedMarker::new(renderer, marker))
+                .collect(),
+            shadows: &scene.shadows,
+            sky_luminance: renderer.config.sky_luminance,
+        }
+    }
 
     /// Luminance seen along the ray through a single (sub)pixel.
-    fn shade_pixel(
-        &self,
-        camera: &Camera,
-        vehicle_pose: &Pose,
-        scene: &GroundScene,
-        pixel: Vec2,
-    ) -> f32 {
-        let ray = camera.pixel_ray(vehicle_pose, pixel);
-        let Some(t) = ray.intersect_horizontal_plane(scene.ground.ground_z) else {
-            return self.config.sky_luminance;
+    fn shade(&self, pixel: Vec2) -> f32 {
+        let direction = Attitude::rotate(&self.rotation, self.camera.body_direction(pixel));
+        let ray = Ray::new(self.position, direction);
+        let Some(t) = ray.intersect_horizontal_plane(self.ground.ground_z) else {
+            return self.sky_luminance;
         };
         let hit = ray.point_at(t);
         let ground_point = Vec2::new(hit.x, hit.y);
-        let mut lum = self.ground_luminance(&scene.ground, ground_point);
+        let mut lum = ground_luminance(self.ground, ground_point);
         // Markers are painted on top of the terrain (last marker wins if they
         // overlap, which scenario generation avoids).
-        for marker in &scene.markers {
-            if let Some(marker_lum) = self.marker_luminance(marker, ground_point) {
+        for marker in &self.markers {
+            if let Some(marker_lum) = marker.luminance(ground_point) {
                 lum = marker_lum;
             }
         }
         // Shadows multiply whatever is underneath, markers included.
-        for shadow in &scene.shadows {
+        for shadow in self.shadows {
             let d = ground_point.distance(shadow.center);
             if d <= shadow.radius {
                 // Soft edge over the outer 20 % of the radius.
@@ -243,58 +274,98 @@ impl MarkerRenderer {
         }
         lum.clamp(0.0, 1.0)
     }
+}
 
-    /// Procedural terrain luminance at a ground point (deterministic).
-    fn ground_luminance(&self, ground: &GroundAppearance, p: Vec2) -> f32 {
-        let scale = ground.texture_scale.max(1e-3);
-        let gx = p.x / scale;
-        let gy = p.y / scale;
-        let x0 = gx.floor();
-        let y0 = gy.floor();
-        let fx = (gx - x0) as f32;
-        let fy = (gy - y0) as f32;
-        let n00 = hash_noise(x0 as i64, y0 as i64);
-        let n10 = hash_noise(x0 as i64 + 1, y0 as i64);
-        let n01 = hash_noise(x0 as i64, y0 as i64 + 1);
-        let n11 = hash_noise(x0 as i64 + 1, y0 as i64 + 1);
-        let top = n00 * (1.0 - fx) + n10 * fx;
-        let bottom = n01 * (1.0 - fx) + n11 * fx;
-        let noise = top * (1.0 - fy) + bottom * fy;
-        ground.base_luminance + ground.texture_amplitude * (noise - 0.5) * 2.0
+/// Procedural terrain luminance at a ground point (deterministic).
+fn ground_luminance(ground: &GroundAppearance, p: Vec2) -> f32 {
+    let scale = ground.texture_scale.max(1e-3);
+    let gx = p.x / scale;
+    let gy = p.y / scale;
+    let x0 = gx.floor();
+    let y0 = gy.floor();
+    let fx = (gx - x0) as f32;
+    let fy = (gy - y0) as f32;
+    let n00 = hash_noise(x0 as i64, y0 as i64);
+    let n10 = hash_noise(x0 as i64 + 1, y0 as i64);
+    let n01 = hash_noise(x0 as i64, y0 as i64 + 1);
+    let n11 = hash_noise(x0 as i64 + 1, y0 as i64 + 1);
+    let top = n00 * (1.0 - fx) + n10 * fx;
+    let bottom = n01 * (1.0 - fx) + n11 * fx;
+    let noise = top * (1.0 - fy) + bottom * fy;
+    ground.base_luminance + ground.texture_amplitude * (noise - 0.5) * 2.0
+}
+
+/// A marker as one frame paints it.
+struct PaintedMarker {
+    center: Vec2,
+    /// `(-yaw).sin_cos()`: rotates ground offsets into the marker frame.
+    to_local: (f64, f64),
+    half: f64,
+    /// Half-width of the marker plus its quiet zone.
+    outer: f64,
+    /// A point farther than this from the centre along either ground axis
+    /// lies beyond the quiet zone's corners (√2 × `outer` away), so the exact
+    /// test would reject it too; the margin over √2 dwarfs any rounding.
+    reject: f64,
+    cell_size: f64,
+    /// Luminance of each cell; unknown ids paint a blank white square (a
+    /// decoy marker).
+    cells: [[f32; MARKER_CELLS]; MARKER_CELLS],
+    quiet_luminance: f32,
+}
+
+impl PaintedMarker {
+    fn new(renderer: &MarkerRenderer, marker: &MarkerPlacement) -> Self {
+        let config = &renderer.config;
+        let half = marker.size / 2.0;
+        let quiet = marker.size * config.quiet_zone_fraction;
+        let outer = half + quiet;
+        let pattern = renderer
+            .dictionary
+            .cells(marker.id)
+            .unwrap_or([[1.0; MARKER_CELLS]; MARKER_CELLS]);
+        Self {
+            center: marker.center,
+            to_local: (-marker.yaw).sin_cos(),
+            half,
+            outer,
+            reject: 1.5 * outer,
+            cell_size: marker.size / MARKER_CELLS as f64,
+            cells: pattern.map(|row| {
+                row.map(|value| {
+                    if value > 0.5 {
+                        config.marker_white
+                    } else {
+                        config.marker_black
+                    }
+                })
+            }),
+            quiet_luminance: config.marker_white,
+        }
     }
 
-    /// Luminance contributed by a marker at a ground point, or `None` when
-    /// the point is outside the marker (and its quiet zone).
-    fn marker_luminance(&self, marker: &MarkerPlacement, p: Vec2) -> Option<f32> {
+    /// Luminance of the marker at a ground point, or `None` when the point
+    /// is outside the marker (and its quiet zone).
+    fn luminance(&self, p: Vec2) -> Option<f32> {
+        let offset = p - self.center;
+        if offset.x.abs() > self.reject || offset.y.abs() > self.reject {
+            return None;
+        }
         // Transform into the marker's local frame.
-        let local = (p - marker.center).rotated(-marker.yaw);
-        let half = marker.size / 2.0;
-        let quiet = marker.size * self.config.quiet_zone_fraction;
-        let outer = half + quiet;
-        if local.x.abs() > outer || local.y.abs() > outer {
+        let local = offset.rotated_sin_cos(self.to_local);
+        let half = self.half;
+        if local.x.abs() > self.outer || local.y.abs() > self.outer {
             return None;
         }
         if local.x.abs() > half || local.y.abs() > half {
             // Quiet zone: white paper around the printed pattern.
-            return Some(self.config.marker_white);
+            return Some(self.quiet_luminance);
         }
         // Inside the printed pattern: which cell?
-        let cell_size = marker.size / MARKER_CELLS as f64;
-        let col = (((local.x + half) / cell_size).floor() as i64).clamp(0, MARKER_CELLS as i64 - 1)
-            as usize;
-        let row = (((half - local.y) / cell_size).floor() as i64).clamp(0, MARKER_CELLS as i64 - 1)
-            as usize;
-        let value = match self.dictionary.cells(marker.id) {
-            Ok(cells) => cells[row][col],
-            // Unknown ids render as a blank white square (decoy marker).
-            Err(VisionError::UnknownMarkerId { .. }) => 1.0,
-            Err(_) => 1.0,
-        };
-        Some(if value > 0.5 {
-            self.config.marker_white
-        } else {
-            self.config.marker_black
-        })
+        let last = MARKER_CELLS as i64 - 1;
+        let col = (((local.x + half) / self.cell_size).floor() as i64).clamp(0, last) as usize;
+        let row = (((half - local.y) / self.cell_size).floor() as i64).clamp(0, last) as usize;
+        Some(self.cells[row][col])
     }
 }
 
