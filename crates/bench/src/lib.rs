@@ -16,8 +16,9 @@
 //! of the paper's four failure narratives), `falsify` runs the
 //! multi-dimensional falsification engine end to end (search three two-axis
 //! fault spaces, minimize each counterexample onto the failure frontier,
-//! and ship it as a triaged, replay-verified trace), and `perfsuite` times
-//! the canonical workloads and writes the `BENCH_perf.json` trajectory.
+//! and ship it as a triaged, replay-verified trace), and `resume_smoke`
+//! SIGKILLs a journaled campaign and checks that its resume is
+//! byte-identical.
 //!
 //! The workload size is controlled by environment variables so the same
 //! binaries serve both quick smoke runs and the full reproduction:
@@ -46,7 +47,6 @@ use mls_core::{
     BenchmarkSummary, ExecutorConfig, LandingConfig, MissionExecutor, MissionOutcome, SystemVariant,
 };
 use mls_sim_world::{Scenario, ScenarioConfig, ScenarioGenerator};
-use serde::Serialize;
 
 /// Upper bound on the worker-thread count accepted from `MLS_THREADS`; a
 /// typo like `MLS_THREADS=10000` would otherwise ask the OS for ten thousand
@@ -232,34 +232,6 @@ pub fn run_and_summarise(
     )
 }
 
-/// Host metadata stamped into persisted measurement reports
-/// (`BENCH_perf.json`), so numbers stay attributable to the machine,
-/// build profile and commit that produced them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct HostMeta {
-    /// Logical cores available to the process.
-    pub cores: usize,
-    /// Cargo build profile the binary was compiled under (`release`,
-    /// `debug`, ...), resolved at build time.
-    pub profile: String,
-    /// Short git revision of the checkout the binary was built from
-    /// (`unknown` when the build ran outside a git checkout).
-    pub git_rev: String,
-}
-
-impl HostMeta {
-    /// Captures the metadata of the running host and binary.
-    pub fn capture() -> Self {
-        Self {
-            cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            profile: env!("MLS_BUILD_PROFILE").to_string(),
-            git_rev: env!("MLS_GIT_REV").to_string(),
-        }
-    }
-}
-
 /// Flushes the observability sinks at the end of a bench run and prints
 /// where the artifacts landed. Every bench binary calls this last; it is
 /// silent (and free) when `MLS_OBS` is off.
@@ -340,14 +312,6 @@ mod tests {
         };
         let scenarios = generate_scenarios(&options);
         assert_eq!(scenarios.len(), 6);
-    }
-
-    #[test]
-    fn host_meta_is_stamped_at_build_time() {
-        let meta = HostMeta::capture();
-        assert!(meta.cores >= 1);
-        assert!(!meta.profile.is_empty(), "build.rs must stamp the profile");
-        assert!(!meta.git_rev.is_empty(), "build.rs must stamp the revision");
     }
 
     #[test]

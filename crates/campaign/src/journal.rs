@@ -1,11 +1,12 @@
 //! The write-ahead result journal: crash-safe campaigns that resume
 //! byte-identically.
 //!
-//! A campaign's artifacts are a pure function of (spec, seed): every
-//! transport funnels its job-ordered mission slots through
-//! [`CampaignRunner::assemble_report`], which normalises slots beyond each
-//! cell's decided early-stop prefix before anything is persisted. The
-//! journal exploits exactly that purity: one fsync'd record per completed
+//! A campaign's artifacts are a pure function of (spec, seed): every run
+//! funnels its job-ordered mission slots through
+//! [`CampaignRunner::assemble_report`](crate::CampaignRunner::assemble_report),
+//! which normalises slots beyond each cell's decided early-stop prefix
+//! before anything is persisted. The journal exploits exactly that
+//! purity: one fsync'd record per completed
 //! work unit (a flown mission slot, or a probe's full outcome vector),
 //! each keyed by the owning spec's configuration hash, with floats
 //! transported as IEEE-754 bit patterns via [`crate::wire`]. A resumed
@@ -13,7 +14,7 @@
 //! and because `fly_mission` is itself pure per (spec, cell, scenario,
 //! repeat), the assembled report, traces, counterexamples and corpus
 //! index are byte-identical whether the campaign was interrupted zero
-//! times or N times, in-process or on the fabric.
+//! times or N times.
 //!
 //! # On-disk format (`mls-journal-v1`)
 //!
@@ -28,13 +29,13 @@
 //! sequence number `n` (from 0):
 //!
 //! ```text
-//! {"n":0,"t":"slot","hash":H,"job":J,"slot":{...wire slot...}}
+//! {"n":0,"t":"slot","hash":H,"job":J,"slot":{...bit-exact slot...}}
 //! {"n":1,"t":"probe","hash":H,"planned":P,"outcomes":[0,2,1,...]}
 //! ```
 //!
-//! Probe outcomes use the shared wire codes
-//! ([`crate::wire::probe_outcome_code`]): `0` skipped, `1` failure, `2`
-//! success.
+//! Slot payloads use the bit-exact encoding of [`crate::wire`]; probe
+//! outcomes use its codes ([`crate::wire::probe_outcome_code`]): `0`
+//! skipped, `1` failure, `2` success.
 //!
 //! # Integrity discipline
 //!
@@ -46,7 +47,9 @@
 //! a complete line that fails to parse, a sequence gap, an unknown
 //! schema, or a scope mismatch is a loud [`CampaignError::Journal`],
 //! because silently skipping interior corruption would let a damaged
-//! journal masquerade as a shorter, valid one.
+//! journal masquerade as a shorter, valid one. A well-formed slot record
+//! whose payload does not decode (a missing field, an unknown code) is
+//! the same loud error, raised when the resumed run reaches that slot.
 //!
 //! Resume against an *edited* configuration is rejected at open time: a
 //! campaign-scope journal pins its spec's configuration hash in the
@@ -268,7 +271,7 @@ impl Journal {
         self.slots.len() + self.probes.len()
     }
 
-    /// The journaled wire encoding of mission slot `job` of the spec
+    /// The journaled [`crate::wire`] encoding of mission slot `job` of the spec
     /// hashing to `hash`, when a previous incarnation completed it.
     pub fn recovered_slot(&self, hash: u64, job: usize) -> Option<&Value> {
         self.slots.get(&(hash, job))
@@ -477,7 +480,8 @@ fn parse_record(line: &str) -> Result<Record, String> {
                     code.as_u64()
                         .ok_or_else(|| "probe outcome code is not a u64".to_string())
                         .and_then(|code| {
-                            wire::probe_outcome_from_code(code).map_err(|e| e.to_string())
+                            wire::probe_outcome_from_code(code)
+                                .ok_or_else(|| format!("unknown probe outcome code {code}"))
                         })
                 })
                 .collect::<Result<Vec<_>, _>>()?;

@@ -39,7 +39,8 @@
 //!   by configuration hash with floats as IEEE-754 bit patterns, so an
 //!   interrupted campaign ([`CampaignRunner::resume`](runner::CampaignRunner::resume))
 //!   re-flies only the missing missions and reproduces its artifacts
-//!   byte-identically.
+//!   byte-identically. [`wire`] is the bit-exact encoding of a mission
+//!   slot that each journal record carries.
 //! * [`suites`] — the process-wide [`SuiteCache`] memoizing generated
 //!   scenario suites by `(family, suite seed, maps, scenarios per map)`,
 //!   so repeated campaigns and multi-space falsification runs stop
@@ -48,8 +49,9 @@
 //!   (coarse-to-fine grid refinement, a small self-contained diagonal
 //!   CMA-ES) driven through an ask/tell batch interface, so a whole
 //!   generation of probes fans out over the executor concurrently
-//!   ([`ProbeExecution`]) while counterexamples and probe logs stay
-//!   byte-identical to sequential evaluation; counterexample minimization
+//!   ([`CampaignRunner::run_probe_rates`](runner::CampaignRunner::run_probe_rates))
+//!   while counterexamples and probe logs stay independent of the thread
+//!   count; counterexample minimization
 //!   onto the failure frontier, and capture of each minimal failing point
 //!   as a triaged, replay-verified trace linked from the
 //!   [`FalsificationReport`].
@@ -119,7 +121,6 @@ pub mod search;
 pub mod spec;
 pub mod stats;
 pub mod suites;
-pub mod transport;
 pub mod wire;
 
 pub use executor::MissionExecutor;
@@ -132,15 +133,14 @@ pub use mls_trace::{
     CorpusQuery, CorpusRecord, FailureSignature, TraceCorpus, TracePolicy, CORPUS_INDEX_FILE,
 };
 pub use report::{CampaignReport, CellReport, EarlyStopSummary, MetricSummary, TraceLink};
-pub use runner::{probe_rate_from_outcomes, CampaignRunner, MissionRecord, MissionSlot, ProbeRate};
+pub use runner::{CampaignRunner, MissionRecord, MissionSlot, ProbeRate};
 pub use search::{
     CmaEsConfig, Counterexample, FalsificationConfig, FalsificationReport, FalsificationSearch,
-    GridRefinementConfig, ProbeExecution, ProbePoint, SearchStage, Searcher, SpaceFalsification,
+    GridRefinementConfig, ProbePoint, SearchStage, Searcher, SpaceFalsification,
 };
 pub use spec::{fault_point_label, CampaignCell, CampaignSpec, EarlyStopPolicy};
 pub use stats::{MetricAccumulator, P2Quantile, Welford};
 pub use suites::{SuiteCache, SuiteKey};
-pub use transport::{DistributedBackend, Transport};
 
 /// Errors produced by the campaign engine.
 #[derive(Debug)]
@@ -159,9 +159,6 @@ pub enum CampaignError {
     Trace(mls_trace::TraceError),
     /// Serialising a report failed.
     Serialize(String),
-    /// The distributed campaign fabric failed (worker spawn, protocol or
-    /// failover exhaustion).
-    Distributed(String),
     /// The write-ahead result journal failed (I/O, integrity, or a
     /// resume against an edited configuration).
     Journal(String),
@@ -177,9 +174,6 @@ impl fmt::Display for CampaignError {
             CampaignError::Mls(err) => write!(f, "landing-system assembly failed: {err}"),
             CampaignError::Trace(err) => write!(f, "trace capture failed: {err}"),
             CampaignError::Serialize(reason) => write!(f, "report serialisation failed: {reason}"),
-            CampaignError::Distributed(reason) => {
-                write!(f, "distributed campaign fabric failed: {reason}")
-            }
             CampaignError::Journal(reason) => {
                 write!(f, "result journal failed: {reason}")
             }

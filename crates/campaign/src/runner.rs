@@ -35,18 +35,7 @@ use crate::report::{CampaignReport, CellReport, EarlyStopSummary, TraceLink};
 use crate::spec::{CampaignCell, CampaignSpec, EarlyStopPolicy};
 use crate::stats::MetricAccumulator;
 use crate::suites::{SuiteCache, SuiteKey};
-use crate::transport::{self, Transport};
 use crate::CampaignError;
-
-/// The error a fabric-transport runner raises when no distributed backend
-/// was registered.
-fn no_backend() -> CampaignError {
-    CampaignError::Distributed(
-        "the runner's transport is Fabric but no distributed backend is installed \
-         (call mls_fabric::install() first)"
-            .to_string(),
-    )
-}
 
 /// Cached campaign instruments (see [`crate::obs_util`]).
 mod instruments {
@@ -85,10 +74,9 @@ fn record_mission_outcome(result: MissionResult) {
 
 /// The compact per-mission record the aggregation stage consumes.
 ///
-/// Public (with [`MissionSlot`]) so the distributed fabric can ship the
-/// exact aggregation inputs across a process boundary and feed them back
-/// through [`CampaignRunner::assemble_report`]; the bit-exact wire
-/// encoding lives in [`crate::wire`].
+/// Public (with [`MissionSlot`]) so a caller that flies missions itself
+/// can aggregate them through [`CampaignRunner::assemble_report`]; the
+/// bit-exact encoding the journal stores lives in [`crate::wire`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissionRecord {
     /// Final mission classification.
@@ -160,9 +148,9 @@ fn slot_success(slot: &MissionSlot) -> Option<bool> {
 /// Recomputes the early-stop decision from mission outcomes in job order —
 /// a pure function identical to the live in-flight [`CellProgress`]
 /// decision, whose prefix cursor only ever advances over contiguous
-/// resolved outcomes. The fabric dispatcher replays this over slots merged
-/// from workers; [`CampaignRunner::assemble_report`] replays it for every
-/// transport, so the two paths cannot diverge.
+/// resolved outcomes. [`CampaignRunner::assemble_report`] replays it over
+/// every batch, however its slots were produced, and journal recovery
+/// replays it over recovered probe outcomes.
 fn replay_early_stop(
     policy: &EarlyStopPolicy,
     outcomes: impl Iterator<Item = Option<bool>>,
@@ -185,10 +173,10 @@ fn replay_early_stop(
 }
 
 /// Aggregates one probe's job-ordered mission outcomes into its
-/// [`ProbeRate`], restricted to the deterministic decided prefix — the
-/// pure aggregation half of [`CampaignRunner::run_probe_rates`], shared
-/// by the distributed fabric dispatcher.
-pub fn probe_rate_from_outcomes(
+/// [`ProbeRate`], restricted to the deterministic decided prefix — how
+/// [`CampaignRunner::run_probe_rates`] rates a probe recovered from the
+/// journal.
+fn probe_rate_from_outcomes(
     policy: Option<EarlyStopPolicy>,
     outcomes: &[Option<bool>],
     planned: usize,
@@ -307,10 +295,8 @@ struct MissionContext {
 pub struct CampaignRunner {
     threads: usize,
     trace_dir: Option<PathBuf>,
-    recorder: RecorderConfig,
     executor: Arc<MissionExecutor>,
     suites: SuiteCache,
-    transport: Transport,
     journal: Option<Arc<JournalHandle>>,
 }
 
@@ -326,33 +312,10 @@ impl CampaignRunner {
         Self {
             threads: threads.clamp(1, Self::MAX_THREADS),
             trace_dir: None,
-            recorder: RecorderConfig::default(),
             executor: MissionExecutor::global(),
             suites: SuiteCache::global().clone(),
-            transport: Transport::InProcess,
             journal: None,
         }
-    }
-
-    /// Selects the execution transport: in-process (the default) or the
-    /// distributed campaign fabric. A fabric runner requires a registered
-    /// [`crate::transport::DistributedBackend`] (see `mls_fabric::install`)
-    /// and produces byte-identical reports, traces and probe rates.
-    #[must_use]
-    pub fn with_transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// The runner's execution transport.
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-
-    /// The flight-recorder sizing missions capture traces with (fabric
-    /// workers mirror the dispatcher's sizing from this).
-    pub fn recorder_config(&self) -> RecorderConfig {
-        self.recorder
     }
 
     /// Overrides the directory captured traces are persisted in (default:
@@ -360,13 +323,6 @@ impl CampaignRunner {
     #[must_use]
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
-        self
-    }
-
-    /// Overrides the flight-recorder sizing (ring capacity, decimations).
-    #[must_use]
-    pub fn with_recorder_config(mut self, config: RecorderConfig) -> Self {
-        self.recorder = config;
         self
     }
 
@@ -402,18 +358,10 @@ impl CampaignRunner {
     /// Opens this runner's journal for a campaign over `spec` (`None`
     /// when no journal is attached). A campaign-scoped journal enforces
     /// the edited-configuration gate; a search-scoped one admits every
-    /// member spec, keying records by each spec's own hash. Shared with
-    /// the fabric dispatcher, which journals completed leases through the
-    /// same object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::Journal`] when the journal cannot be
-    /// opened, fails integrity checks, or pins a different configuration.
-    pub fn campaign_journal(
-        &self,
-        spec: &CampaignSpec,
-    ) -> Result<Option<Arc<Journal>>, CampaignError> {
+    /// member spec, keying records by each spec's own hash. Fails with
+    /// [`CampaignError::Journal`] when the journal cannot be opened, fails
+    /// integrity checks, or pins a different configuration.
+    fn campaign_journal(&self, spec: &CampaignSpec) -> Result<Option<Arc<Journal>>, CampaignError> {
         match &self.journal {
             None => Ok(None),
             Some(handle) => match handle.scope() {
@@ -426,12 +374,7 @@ impl CampaignRunner {
     /// Opens this runner's journal for probe batches (`None` when no
     /// journal is attached); probe records key by each probe spec's own
     /// hash, so no primary-spec gate applies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::Journal`] when the journal cannot be
-    /// opened or fails integrity checks.
-    pub fn probe_journal(&self) -> Result<Option<Arc<Journal>>, CampaignError> {
+    fn probe_journal(&self) -> Result<Option<Arc<Journal>>, CampaignError> {
         match &self.journal {
             None => Ok(None),
             Some(handle) => handle.open_ambient(None).map(Some),
@@ -537,63 +480,12 @@ impl CampaignRunner {
         self.run_with_shared_suites(spec, &suites)
     }
 
-    /// Runs a single-family campaign over an already-generated scenario
-    /// suite (callers sweeping many specs over the same suite — e.g. the
-    /// falsification search — generate it once and reuse it).
-    ///
-    /// The suite is copied into shared ownership for the executor's job
-    /// closures; callers holding an [`Arc`] suite (from
-    /// [`CampaignRunner::suite`]) should prefer
-    /// [`CampaignRunner::run_with_shared_suites`], which shares instead of
-    /// copying.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, sweeps more than one
-    /// scenario family, or a landing system cannot be assembled.
-    pub fn run_with_scenarios(
-        &self,
-        spec: &CampaignSpec,
-        scenarios: &[Scenario],
-    ) -> Result<CampaignReport, CampaignError> {
-        spec.validate()?;
-        if spec.families.len() != 1 {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "run_with_scenarios takes one suite but the spec sweeps {} families \
-                     (use run or run_with_suites)",
-                    spec.families.len()
-                ),
-            });
-        }
-        self.run_with_shared_suites(spec, &[Arc::new(scenarios.to_vec())])
-    }
-
-    /// Runs the campaign over already-generated scenario suites, one per
-    /// entry of [`CampaignSpec::families`], in the same order. Suites are
-    /// copied into shared ownership; prefer
-    /// [`CampaignRunner::run_with_shared_suites`] when the suites are
-    /// already shared.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, the suites do not match
-    /// the grid, or a landing system cannot be assembled.
-    pub fn run_with_suites<S: AsRef<[Scenario]> + Sync>(
-        &self,
-        spec: &CampaignSpec,
-        suites: &[S],
-    ) -> Result<CampaignReport, CampaignError> {
-        let shared: Vec<Arc<Vec<Scenario>>> = suites
-            .iter()
-            .map(|suite| Arc::new(suite.as_ref().to_vec()))
-            .collect();
-        self.run_with_shared_suites(spec, &shared)
-    }
-
     /// Runs the campaign over shared scenario suites, one per entry of
-    /// [`CampaignSpec::families`], in the same order — the zero-copy path
-    /// the engine itself uses everywhere.
+    /// [`CampaignSpec::families`], in the same order (from
+    /// [`CampaignRunner::suites_for`], or built by the caller) — the path
+    /// every campaign, probe baseline and resume flies through. Callers
+    /// sweeping many specs over the same worlds, such as the falsification
+    /// search, generate the suites once and share them.
     ///
     /// # Errors
     ///
@@ -626,10 +518,6 @@ impl CampaignRunner {
                 });
             }
         }
-        if let Transport::Fabric { workers } = self.transport {
-            let backend = transport::backend().ok_or_else(no_backend)?;
-            return backend.run_campaign(self, workers.max(1), spec, suites);
-        }
         let cells = spec.cells();
         let missions_per_cell = spec.missions_per_cell();
         let total = missions_per_cell * cells.len();
@@ -656,7 +544,7 @@ impl CampaignRunner {
             suites: suites.to_vec(),
             missions_per_cell,
             config_hash,
-            recorder: spec.capture.captures().then_some(self.recorder),
+            recorder: spec.capture.captures().then(RecorderConfig::default),
             journal,
         });
 
@@ -678,9 +566,8 @@ impl CampaignRunner {
 
     /// Assembles a [`CampaignReport`] from the complete, job-ordered
     /// mission slots of a campaign batch — the aggregation half of
-    /// [`CampaignRunner::run_with_shared_suites`], shared verbatim by the
-    /// distributed fabric dispatcher so a sharded run cannot drift from
-    /// the in-process result.
+    /// [`CampaignRunner::run_with_shared_suites`], public so a caller that
+    /// flies the missions itself aggregates through the same code.
     ///
     /// The early-stop decision is recomputed here as a pure function of
     /// the slot outcomes in job order (identical to the live in-flight
@@ -714,8 +601,7 @@ impl CampaignRunner {
 
         // Enforce the deterministic early-stop prefix: results beyond a
         // cell's decided prefix (flown speculatively while the decision
-        // landed, or flown by a fabric worker under a partial lease) are
-        // discarded before anything is recorded.
+        // landed) are discarded before anything is recorded.
         let mut early_summaries = vec![None; cells.len()];
         if let Some(policy) = spec.probe_early_stop {
             for (cell_index, summary) in early_summaries.iter_mut().enumerate() {
@@ -760,14 +646,12 @@ impl CampaignRunner {
         }
 
         // Persist the kept traces (in deterministic grid order) and link
-        // them from the report, each with its triage verdict. Traces land
-        // under *this* runner's trace directory whatever process flew them,
-        // which is what keeps refly/replay working against fabric-run
-        // reports. The same loop ingests every kept trace into the corpus
-        // index written next to the files: because all transports funnel
-        // their job-ordered slots through this one assembly point, the
-        // index — like the report and the traces — is a pure function of
-        // (spec, seed), byte-identical across worker counts and failover.
+        // them from the report, each with its triage verdict. The same
+        // loop ingests every kept trace into the corpus index written next
+        // to the files: because flown and journal-recovered slots alike
+        // funnel through this one assembly point in job order, the index —
+        // like the report and the traces — is a pure function of
+        // (spec, seed), byte-identical across thread counts and resumes.
         let trace_dir = self.trace_dir(spec);
         let mut traces = Vec::new();
         let mut corpus = TraceCorpus::create(&trace_dir);
@@ -847,188 +731,12 @@ impl CampaignRunner {
         })
     }
 
-    /// Flies the mission range `start..end` of one grid cell sequentially
-    /// in job order on this runner's executor — the unit of work a fabric
-    /// worker performs for one lease. A whole-cell lease (`start == 0`)
-    /// applies the spec's early-stop policy locally, skipping missions
-    /// beyond the decided prefix exactly as the in-process run would; a
-    /// partial-range lease flies everything and leaves the prefix
-    /// discipline to [`CampaignRunner::assemble_report`] on the
-    /// dispatcher.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, the suites do not match
-    /// the grid, the cell or range is outside the schedule, or a mission
-    /// fails to assemble.
-    pub fn fly_cell_range(
-        &self,
-        spec: &CampaignSpec,
-        suites: &[Arc<Vec<Scenario>>],
-        cell_index: usize,
-        start: usize,
-        end: usize,
-    ) -> Result<Vec<MissionSlot>, CampaignError> {
-        spec.validate()?;
-        if suites.len() != spec.families.len() {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "{} scenario suites supplied but the spec sweeps {} families",
-                    suites.len(),
-                    spec.families.len()
-                ),
-            });
-        }
-        let missions_per_cell = spec.missions_per_cell();
-        let cell =
-            spec.cells()
-                .into_iter()
-                .nth(cell_index)
-                .ok_or_else(|| CampaignError::InvalidSpec {
-                    reason: format!("cell {cell_index} is outside the grid"),
-                })?;
-        if start > end || end > missions_per_cell {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "mission range {start}..{end} is outside the cell's schedule of {missions_per_cell}"
-                ),
-            });
-        }
-        let suite = suites[cell.suite_index].clone();
-        if suite.len() != spec.maps * spec.scenarios_per_map {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "the {} scenario suite has {} scenarios but the spec's grid needs {}",
-                    cell.family.label(),
-                    suite.len(),
-                    spec.maps * spec.scenarios_per_map
-                ),
-            });
-        }
-        let config_hash = spec.config_hash()?;
-
-        struct RangeContext {
-            spec: CampaignSpec,
-            cell: CampaignCell,
-            suite: Arc<Vec<Scenario>>,
-            progress: Option<CellProgress>,
-            recorder: Option<RecorderConfig>,
-            config_hash: u64,
-            start: usize,
-        }
-        let context = Arc::new(RangeContext {
-            progress: (start == 0)
-                .then_some(spec.probe_early_stop)
-                .flatten()
-                .map(|policy| CellProgress::new(policy, missions_per_cell)),
-            spec: spec.clone(),
-            cell,
-            suite,
-            recorder: spec.capture.captures().then_some(self.recorder),
-            config_hash,
-            start,
-        });
-        let job = context.clone();
-        let results: Vec<Result<MissionSlot, CampaignError>> =
-            self.executor
-                .execute(end - start, self.threads, move |index| {
-                    let within = job.start + index;
-                    let scenario = &job.suite[within % job.suite.len()];
-                    let repeat = within / job.suite.len();
-                    if job
-                        .progress
-                        .as_ref()
-                        .is_some_and(|progress| progress.should_skip(within))
-                    {
-                        if mls_obs::enabled() {
-                            instruments::missions_skipped().inc();
-                        }
-                        return Ok(MissionSlot::Skipped);
-                    }
-                    let (outcome, trace) = fly_mission(
-                        &job.spec,
-                        &job.cell,
-                        scenario,
-                        repeat,
-                        job.config_hash,
-                        job.recorder.as_ref(),
-                    )?;
-                    if let Some(progress) = &job.progress {
-                        progress.record(within, outcome.result == MissionResult::Success);
-                    }
-                    if mls_obs::enabled() {
-                        record_mission_outcome(outcome.result);
-                    }
-                    let mut record = MissionRecord::from_outcome(&outcome);
-                    record.trace = trace
-                        .filter(|_| job.spec.capture.keeps(outcome.result))
-                        .map(Box::new);
-                    Ok(MissionSlot::Flown(Box::new(record)))
-                });
-        let mut slots = Vec::with_capacity(end - start);
-        for result in results {
-            slots.push(result?);
-        }
-        Ok(slots)
-    }
-
-    /// Flies every planned mission of one single-cell probe spec on this
-    /// runner's executor, returning the job-ordered outcomes — the unit of
-    /// work a fabric worker performs for one probe lease. The probe's
-    /// early-stop policy applies locally; the dispatcher reduces the
-    /// outcomes with [`probe_rate_from_outcomes`], which restricts to the
-    /// same decided prefix the in-process path uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid, expands to more than one
-    /// cell, the suite does not match, or a mission fails to assemble.
-    pub fn fly_probe_outcomes(
-        &self,
-        spec: &CampaignSpec,
-        scenarios: Arc<Vec<Scenario>>,
-    ) -> Result<Vec<Option<bool>>, CampaignError> {
-        let missions = Self::validate_probe_specs(std::slice::from_ref(spec), &scenarios)?;
-        let cell = spec
-            .cells()
-            .into_iter()
-            .next()
-            .expect("validated single cell");
-        let progress = spec
-            .probe_early_stop
-            .map(|policy| CellProgress::new(policy, missions));
-        let context = Arc::new(ProbeSetContext {
-            probes: vec![ProbeJob {
-                spec: spec.clone(),
-                cell,
-                progress,
-            }],
-            scenarios,
-            missions_per_probe: missions,
-        });
-        let job_context = context.clone();
-        let results: Vec<Result<Option<bool>, CampaignError>> =
-            self.executor.execute(missions, self.threads, move |index| {
-                run_probe_mission_job(&job_context, index)
-            });
-        let mut outcomes = Vec::with_capacity(missions);
-        for result in results {
-            outcomes.push(result?);
-        }
-        Ok(outcomes)
-    }
-
     /// Validates a batch of single-cell probe specs against a shared
     /// scenario suite (each spec expands to exactly one cell, matches the
     /// suite's dimensions and shares one mission schedule), returning the
-    /// common missions-per-probe count. Used by both the in-process
-    /// [`CampaignRunner::run_probe_rates`] and the fabric dispatcher.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::InvalidSpec`] describing the first
-    /// violation.
-    pub fn validate_probe_specs(
+    /// common missions-per-probe count, or [`CampaignError::InvalidSpec`]
+    /// describing the first violation.
+    fn validate_probe_specs(
         specs: &[CampaignSpec],
         scenarios: &[Scenario],
     ) -> Result<usize, CampaignError> {
@@ -1071,7 +779,7 @@ impl CampaignRunner {
     /// suite as a single executor batch, returning each probe's success
     /// rate and mission count in input order.
     ///
-    /// This is the falsification engine's batched transport: a whole
+    /// This is how the falsification engine evaluates probes: a whole
     /// searcher generation fans out over the executor at mission
     /// granularity, saturating the pool even when each probe flies only a
     /// handful of missions, while per-probe early stopping cancels
@@ -1092,10 +800,6 @@ impl CampaignRunner {
             return Ok(Vec::new());
         }
         let missions_per_probe = Self::validate_probe_specs(&specs, &scenarios)?;
-        if let Transport::Fabric { workers } = self.transport {
-            let backend = transport::backend().ok_or_else(no_backend)?;
-            return backend.run_probes(self, workers.max(1), &specs, &scenarios);
-        }
         // With a journal attached, probes a previous incarnation completed
         // are replayed from their journaled outcome vectors (reduced by
         // the same pure prefix aggregation the live path uses) and only
@@ -1200,11 +904,7 @@ impl CampaignRunner {
 
     /// Generates (or fetches from the suite cache) the benchmark scenario
     /// suite of one of the spec's families.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the scenario generator rejects the dimensions.
-    pub fn suite(
+    fn suite(
         &self,
         spec: &CampaignSpec,
         family: mls_sim_world::ScenarioFamily,
@@ -1253,24 +953,6 @@ impl CampaignRunner {
             .iter()
             .map(|&family| self.suite(spec, family))
             .collect()
-    }
-
-    /// Generates one scenario suite per family of the spec (the owned-copy
-    /// form of [`CampaignRunner::suites_for`], kept for callers that want
-    /// to mutate or persist the suites).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the scenario generator rejects the dimensions.
-    pub fn generate_suites(
-        &self,
-        spec: &CampaignSpec,
-    ) -> Result<Vec<Vec<Scenario>>, CampaignError> {
-        Ok(self
-            .suites_for(spec)?
-            .into_iter()
-            .map(|suite| suite.as_ref().clone())
-            .collect())
     }
 
     /// Re-executes the mission a trace header describes and returns the
@@ -1739,7 +1421,7 @@ mod tests {
     fn mismatched_scenario_suite_is_rejected() {
         let spec = CampaignSpec::smoke();
         let err = CampaignRunner::new(1)
-            .run_with_scenarios(&spec, &[])
+            .run_with_shared_suites(&spec, &[Arc::new(Vec::new())])
             .unwrap_err();
         assert!(err.to_string().contains("scenario suite"));
     }

@@ -33,12 +33,12 @@
 //! *generation* (a full lattice sweep, a full CMA-ES population) through an
 //! ask/tell interface, the oracle fans the uncached points of the
 //! generation out over the persistent [`MissionExecutor`] concurrently
-//! ([`ProbeExecution::Batched`]), and the measured success rates are told
-//! back in deterministic point order. Because every searcher decision is a
-//! pure function of the told rates, counterexamples, probe logs and
-//! minimizer trajectories are byte-identical to sequential evaluation
-//! ([`ProbeExecution::Sequential`]) at any thread count — the batched mode
-//! merely keeps the machine saturated while a generation flies.
+//! ([`CampaignRunner::run_probe_rates`]), and the measured success rates
+//! are told back in deterministic point order. Because every searcher
+//! decision is a pure function of the told rates, and each rate equals
+//! what a one-probe campaign would record, counterexamples, probe logs and
+//! minimizer trajectories are byte-identical at any thread count — the
+//! batch merely keeps the machine saturated while a generation flies.
 //!
 //! Probe campaigns default to early-stopped mission schedules
 //! ([`FalsificationConfig::probe_early_stop`]): a probe's remaining repeats
@@ -131,20 +131,6 @@ impl Default for FalsificationConfig {
             executor: ExecutorConfig::default(),
         }
     }
-}
-
-/// How the oracle evaluates the uncached points of a searcher generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeExecution {
-    /// One probe campaign at a time, each internally sharded — the
-    /// pre-batching behaviour, kept as the perf baseline and the
-    /// equivalence reference.
-    Sequential,
-    /// The whole generation fans out over the persistent executor at
-    /// mission granularity ([`CampaignRunner::run_probe_rates`]), so the
-    /// pool stays saturated even when each probe flies only a handful of
-    /// missions. Results are identical to [`ProbeExecution::Sequential`].
-    Batched,
 }
 
 /// Coarse-to-fine lattice refinement.
@@ -915,8 +901,7 @@ fn minimize(
 }
 
 /// The search stage of a falsification run, without minimization and
-/// capture — what the perf suite times when it compares batched against
-/// sequential probe evaluation.
+/// capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchStage {
     /// Success rate with no fault injected.
@@ -935,19 +920,17 @@ pub struct SearchStage {
 pub struct FalsificationSearch {
     config: FalsificationConfig,
     runner: CampaignRunner,
-    execution: ProbeExecution,
     trace_dir: Option<std::path::PathBuf>,
 }
 
 impl FalsificationSearch {
     /// Creates a search executing probes on up to `threads` concurrent
-    /// mission workers of the shared persistent executor, with batched
-    /// probe evaluation.
+    /// mission workers of the shared persistent executor, one batch per
+    /// searcher generation.
     pub fn new(config: FalsificationConfig, threads: usize) -> Self {
         Self {
             config,
             runner: CampaignRunner::new(threads),
-            execution: ProbeExecution::Batched,
             trace_dir: None,
         }
     }
@@ -965,16 +948,6 @@ impl FalsificationSearch {
     /// The executor pool probes fan out over.
     pub fn executor(&self) -> &Arc<MissionExecutor> {
         self.runner.executor()
-    }
-
-    /// Overrides how searcher generations are evaluated
-    /// ([`ProbeExecution::Batched`] is the default). Results are identical
-    /// either way; [`ProbeExecution::Sequential`] exists as the perf
-    /// baseline and the equivalence reference.
-    #[must_use]
-    pub fn with_probe_execution(mut self, execution: ProbeExecution) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Overrides the base directory counterexample traces are persisted in:
@@ -1007,20 +980,8 @@ impl FalsificationSearch {
         self
     }
 
-    /// Selects the execution transport of the search's probe campaigns:
-    /// in-process (the default) or the distributed campaign fabric. The
-    /// search itself (ask/tell loop, minimization, capture) stays on the
-    /// dispatcher; only mission batches fan out, and results are
-    /// byte-identical either way.
-    #[must_use]
-    pub fn with_transport(mut self, transport: crate::transport::Transport) -> Self {
-        self.runner = self.runner.with_transport(transport);
-        self
-    }
-
     /// Runs only the search stage — baseline plus searcher, no
-    /// minimization, no capture. The perf suite times this against both
-    /// [`ProbeExecution`] modes.
+    /// minimization, no capture.
     ///
     /// # Errors
     ///
@@ -1127,8 +1088,8 @@ impl FalsificationSearch {
         })
     }
 
-    /// Builds the memoised oracle over the configured probe transport, runs
-    /// the baseline campaign and primes the origin when it is a no-op.
+    /// Builds the memoised oracle over batched probe evaluation, runs the
+    /// baseline campaign and primes the origin when it is a no-op.
     fn search_oracle<'a>(
         &'a self,
         variant: SystemVariant,
@@ -1140,33 +1101,18 @@ impl FalsificationSearch {
         let config = &self.config;
         let suite = scenarios.clone();
         let counter = missions.clone();
-        let evaluate: BatchProbeFn<'a> = match self.execution {
-            ProbeExecution::Sequential => Box::new(move |points: &[Vec<f64>]| {
-                points
-                    .iter()
-                    .map(|point| {
-                        let spec = probe_spec_for(config, variant, space, &space.plans(point));
-                        let report =
-                            runner.run_with_shared_suites(&spec, std::slice::from_ref(&suite))?;
-                        counter.fetch_add(report.cells[0].missions, Ordering::Relaxed);
-                        Ok(report.cells[0].success_rate)
-                    })
-                    .collect()
-            }),
-            ProbeExecution::Batched => Box::new(move |points: &[Vec<f64>]| {
-                let specs = points
-                    .iter()
-                    .map(|point| probe_spec_for(config, variant, space, &space.plans(point)))
-                    .collect();
-                let rates = runner.run_probe_rates(specs, suite.clone())?;
-                counter.fetch_add(
-                    rates.iter().map(|rate| rate.missions_flown).sum(),
-                    Ordering::Relaxed,
-                );
-                Ok(rates.into_iter().map(|rate| rate.success_rate).collect())
-            }),
-        };
-        let mut oracle = Oracle::new_batch(evaluate);
+        let mut oracle = Oracle::new_batch(move |points: &[Vec<f64>]| {
+            let specs = points
+                .iter()
+                .map(|point| probe_spec_for(config, variant, space, &space.plans(point)))
+                .collect();
+            let rates = runner.run_probe_rates(specs, suite.clone())?;
+            counter.fetch_add(
+                rates.iter().map(|rate| rate.missions_flown).sum(),
+                Ordering::Relaxed,
+            );
+            Ok(rates.into_iter().map(|rate| rate.success_rate).collect())
+        });
 
         let baseline_spec = self.probe_spec(variant, space, &[]);
         // A search-scoped journal pins the first baseline spec it sees in

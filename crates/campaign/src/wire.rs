@@ -1,14 +1,18 @@
-//! Bit-exact wire encoding of mission results for the distributed fabric.
+//! Bit-exact encoding of mission results: the payload of the result
+//! journal's records ([`crate::journal`]).
 //!
-//! The fabric protocol is JSON, and JSON float formatting is the classic
-//! way to lose byte-identity across a process boundary. Every `f64` a
-//! worker ships back is therefore transported as its IEEE-754 bit pattern
-//! (`f64::to_bits`, a lossless `u64`), and enums travel as small integer
-//! codes — so a [`MissionRecord`] reconstructed on the dispatcher is
-//! *bitwise* equal to the one the worker measured, and the aggregated
+//! The journal is JSON, and JSON float formatting is the classic way to
+//! lose byte-identity on a round trip through a file. Every `f64` of a
+//! journaled slot is therefore stored as its IEEE-754 bit pattern
+//! (`f64::to_bits`, a lossless `u64`), and enums as small integer codes —
+//! so a [`MissionRecord`] a resumed run recovers is *bitwise* equal to the
+//! one the interrupted run measured, and the aggregated
 //! [`crate::CampaignReport`] cannot drift. Captured traces ride along as
 //! their canonical JSONL rendering ([`mls_trace::Trace::to_jsonl`]), the
-//! exact bytes the dispatcher persists.
+//! exact bytes the runner persists.
+//!
+//! A payload that fails to decode is journal corruption, reported as
+//! [`CampaignError::Journal`].
 
 use mls_core::{FailsafeReason, MissionResult};
 use mls_trace::Trace;
@@ -18,7 +22,7 @@ use crate::runner::{MissionRecord, MissionSlot};
 use crate::CampaignError;
 
 fn err(reason: impl Into<String>) -> CampaignError {
-    CampaignError::Distributed(reason.into())
+    CampaignError::Journal(reason.into())
 }
 
 fn bits(value: f64) -> Value {
@@ -33,7 +37,7 @@ fn field_u64(value: &Value, key: &str) -> Result<u64, CampaignError> {
     value
         .get(key)
         .and_then(Value::as_u64)
-        .ok_or_else(|| err(format!("wire record is missing field '{key}'")))
+        .ok_or_else(|| err(format!("journaled slot is missing field '{key}'")))
 }
 
 fn field_bits(value: &Value, key: &str) -> Result<f64, CampaignError> {
@@ -53,7 +57,9 @@ fn result_from_code(code: u64) -> Result<MissionResult, CampaignError> {
         0 => Ok(MissionResult::Success),
         1 => Ok(MissionResult::CollisionFailure),
         2 => Ok(MissionResult::PoorLanding),
-        other => Err(err(format!("unknown mission-result code {other}"))),
+        other => Err(err(format!(
+            "journaled slot carries unknown mission-result code {other}"
+        ))),
     }
 }
 
@@ -74,13 +80,14 @@ fn failsafe_from_code(code: u64) -> Result<FailsafeReason, CampaignError> {
         2 => Ok(FailsafeReason::UnsafeDescent),
         3 => Ok(FailsafeReason::PlanningFailure),
         4 => Ok(FailsafeReason::MissionTimeout),
-        other => Err(err(format!("unknown failsafe code {other}"))),
+        other => Err(err(format!(
+            "journaled slot carries unknown failsafe code {other}"
+        ))),
     }
 }
 
-/// Encodes one probe outcome as its wire code: `0` skipped, `1` failure,
-/// `2` success. Shared by the fabric probe-result frames and the result
-/// journal, so both surfaces speak the same encoding.
+/// Encodes one probe outcome as its code in a journal probe record: `0`
+/// skipped, `1` failure, `2` success.
 pub fn probe_outcome_code(outcome: Option<bool>) -> u64 {
     match outcome {
         None => 0,
@@ -89,21 +96,18 @@ pub fn probe_outcome_code(outcome: Option<bool>) -> u64 {
     }
 }
 
-/// Decodes one probe outcome code (see [`probe_outcome_code`]).
-///
-/// # Errors
-///
-/// Returns [`CampaignError::Distributed`] on an unknown code.
-pub fn probe_outcome_from_code(code: u64) -> Result<Option<bool>, CampaignError> {
+/// Decodes one probe outcome code (see [`probe_outcome_code`]); `None`
+/// for an unknown code.
+pub fn probe_outcome_from_code(code: u64) -> Option<Option<bool>> {
     match code {
-        0 => Ok(None),
-        1 => Ok(Some(false)),
-        2 => Ok(Some(true)),
-        other => Err(err(format!("unknown probe outcome code {other}"))),
+        0 => Some(None),
+        1 => Some(Some(false)),
+        2 => Some(Some(true)),
+        _ => None,
     }
 }
 
-/// Encodes one mission slot for the wire.
+/// Encodes one mission slot for a journal record.
 ///
 /// # Errors
 ///
@@ -156,12 +160,13 @@ pub fn slot_to_value(slot: &MissionSlot) -> Result<Value, CampaignError> {
     Ok(Value::Object(fields))
 }
 
-/// Decodes one wire mission slot back into the aggregation-stage record.
+/// Decodes one journaled mission slot back into the aggregation-stage
+/// record.
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::Distributed`] on missing fields or unknown
-/// codes, and [`CampaignError::Trace`] when an embedded trace is
+/// Returns [`CampaignError::Journal`] naming the missing field or unknown
+/// code, and [`CampaignError::Trace`] when an embedded trace is
 /// malformed.
 pub fn slot_from_value(value: &Value) -> Result<MissionSlot, CampaignError> {
     if value.get("skipped").and_then(Value::as_bool) == Some(true) {
@@ -178,7 +183,7 @@ pub fn slot_from_value(value: &Value) -> Result<MissionSlot, CampaignError> {
         Some(raw) => {
             let text = raw
                 .as_str()
-                .ok_or_else(|| err("trace_jsonl is not a string"))?;
+                .ok_or_else(|| err("journaled slot's trace_jsonl is not a string"))?;
             Some(Box::new(
                 Trace::from_jsonl(text).map_err(CampaignError::Trace)?,
             ))
@@ -255,7 +260,11 @@ mod tests {
                 *slot = Value::Number(Number::PosInt(9));
             }
         }
-        assert!(slot_from_value(&value).is_err());
+        assert!(matches!(
+            slot_from_value(&value),
+            Err(CampaignError::Journal(_))
+        ));
+        assert_eq!(probe_outcome_from_code(3), None);
     }
 
     #[test]
@@ -265,6 +274,9 @@ mod tests {
             Value::Number(Number::PosInt(0)),
         )]);
         let err = slot_from_value(&value).unwrap_err();
-        assert!(err.to_string().contains("missing field"));
+        assert!(
+            matches!(&err, CampaignError::Journal(reason) if reason.contains("missing field")),
+            "unexpected error: {err}"
+        );
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! The obs global initializes once per process, so everything lives in a
 //! single test function that toggles the runtime master switch
-//! ([`mls_obs::set_enabled`]) between runs — the same mechanism
-//! `perfsuite` uses for its overhead measurement. The on-runs write both
+//! ([`mls_obs::set_enabled`]) between runs. The on-runs write both
 //! sinks (JSONL + exposition) into `target/test-obs/` so the comparison
 //! is against live instrumentation, not a silently disabled stub; the
 //! test ends by checking the event log actually recorded the stack's
@@ -16,8 +15,7 @@ use std::path::PathBuf;
 
 use mls_campaign::{
     CampaignRunner, CampaignSpec, FalsificationConfig, FalsificationSearch, FaultAxis, FaultKind,
-    FaultPlan, FaultSpace, GridRefinementConfig, ProbeExecution, SearchStage, Searcher,
-    TracePolicy,
+    FaultPlan, FaultSpace, GridRefinementConfig, SearchStage, Searcher, TracePolicy,
 };
 use mls_core::SystemVariant;
 
@@ -97,7 +95,6 @@ fn run_search() -> SearchStage {
         rounds: 0,
     });
     FalsificationSearch::new(config, 2)
-        .with_probe_execution(ProbeExecution::Batched)
         .search_space(SystemVariant::MlsV1, &space, &searcher)
         .expect("the equivalence search runs")
 }
@@ -110,7 +107,6 @@ fn reports_and_traces_are_byte_identical_with_obs_on_and_off() {
         exposition: true,
         progress: false,
         dir: obs_dir,
-        tag: None,
     });
     assert!(fresh, "this test owns its process's obs state");
     assert!(mls_obs::enabled(), "both sinks are configured");

@@ -336,3 +336,51 @@ fn falsification_search_resumes_byte_identically() {
     assert_eq!(baseline.failing_point, resumed.failing_point);
     assert_eq!(baseline.missions_flown, resumed.missions_flown);
 }
+
+#[test]
+fn a_corrupt_slot_payload_is_a_journal_error_naming_the_field() {
+    let spec = tiny_spec("resume-corrupt-slot");
+    let journal = journal_path("resume-corrupt-slot");
+    let _ = fs::remove_file(&journal);
+    let dir = trace_root("resume-corrupt-slot");
+    wipe(&dir);
+    CampaignRunner::new(2)
+        .with_journal(&journal)
+        .with_trace_dir(&dir)
+        .run(&spec)
+        .expect("journaled run");
+
+    // Delete `duration` from the first slot record's payload. The line
+    // stays well-formed, in sequence, so the journal opens; the damage
+    // surfaces when the resume decodes that slot.
+    let full = fs::read_to_string(&journal).expect("read journal");
+    let mut doctored = String::new();
+    let mut edited = false;
+    for line in full.lines() {
+        let mut record: serde_json::Value = serde_json::parse(line).expect("parse journal line");
+        if !edited && record.get("t").and_then(serde_json::Value::as_str) == Some("slot") {
+            if let serde_json::Value::Object(fields) = &mut record {
+                for (key, value) in fields.iter_mut() {
+                    if let ("slot", serde_json::Value::Object(slot)) = (key.as_str(), value) {
+                        slot.retain(|(field, _)| field != "duration");
+                        edited = true;
+                    }
+                }
+            }
+        }
+        doctored.push_str(&serde_json::to_string(&record).expect("serialise journal line"));
+        doctored.push('\n');
+    }
+    assert!(edited, "the journal must hold a flown slot record");
+    fs::write(&journal, doctored).expect("write doctored journal");
+
+    wipe(&dir);
+    let err = CampaignRunner::new(2)
+        .with_trace_dir(&dir)
+        .resume(&journal)
+        .expect_err("a corrupt slot payload must be refused");
+    assert!(
+        matches!(&err, CampaignError::Journal(reason) if reason.contains("'duration'")),
+        "unexpected error: {err}"
+    );
+}

@@ -1,7 +1,7 @@
 //! Crash-ordered artifact writes.
 //!
 //! Every artifact this workspace persists — campaign reports, trace
-//! JSONL, `corpus-index.jsonl`, `BENCH_perf.json`, lint and obs dumps —
+//! JSONL, `corpus-index.jsonl`, benchmark records, lint and obs dumps —
 //! is consumed by a later stage (triage, CI gates, resume). A process
 //! killed mid-`File::create` leaves a torn file under the *final* name,
 //! which poisons that consumer silently. [`atomic_write`] closes the

@@ -10,11 +10,12 @@
 //! coordinates, triage class, mission verdict and the dedup
 //! [`FailureSignature`] key.
 //!
-//! The index is written by `CampaignRunner::assemble_report`, which both
-//! the in-process runner and the fabric dispatcher funnel through — so the
-//! index is a pure function of `(spec, seed)` and byte-identical across
-//! transports, worker counts and worker failures, exactly like the report
-//! and the traces themselves (`fabric_equivalence` pins this).
+//! The index is written by `CampaignRunner::assemble_report`, which every
+//! campaign — flown live or resumed from a journal — funnels through, so
+//! the index is a pure function of `(spec, seed)` and byte-identical
+//! across thread counts and resumes, exactly like the report and the
+//! traces themselves (the campaign `corpus` and `resume_equivalence`
+//! suites pin this).
 //!
 //! Record paths are stored *relative to the index root*, which is what
 //! makes a corpus relocatable: move or archive the whole directory and
