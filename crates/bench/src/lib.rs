@@ -1,24 +1,20 @@
 //! Shared harness utilities for the table/figure reproduction binaries.
 //!
 //! Every binary in `src/bin/` reproduces one table or figure of the paper's
-//! evaluation. They share the same scaffolding: generate the benchmark
-//! scenario suite, fly a set of system variants over it on a chosen compute
-//! profile (in parallel across OS threads), aggregate the outcomes, and print
-//! a plain-text table next to the values the paper reports.
-//!
-//! Mission sharding is delegated to the `mls-campaign` engine's persistent
-//! work-stealing pool ([`mls_campaign::MissionExecutor`]), whose worker
-//! threads are spawned once per process and shared across every batch; the
-//! campaign-grid binaries (`table1_sil`, `table2_detection`, `table3_hil`,
-//! `fig6_inflation`) go further and run entirely on
-//! [`mls_campaign::CampaignRunner`], `fig5_failure_cases` adds the
-//! `mls-trace` flight recorder on top (capture → triage → byte-exact replay
-//! of the paper's four failure narratives), `falsify` runs the
-//! multi-dimensional falsification engine end to end (search three two-axis
-//! fault spaces, minimize each counterexample onto the failure frontier,
-//! and ship it as a triaged, replay-verified trace), and `resume_smoke`
-//! SIGKILLs a journaled campaign and checks that its resume is
-//! byte-identical.
+//! evaluation, or smoke-tests the engine behind them. Each states its sweep
+//! as a `CampaignSpec` grid and flies it on
+//! [`mls_campaign::CampaignRunner`] — the one mission batch path, sharded
+//! over the engine's persistent work-stealing pool
+//! ([`mls_campaign::MissionExecutor`]) — then prints the per-cell report
+//! aggregates next to the values the paper reports. `fig5_failure_cases`
+//! adds the `mls-trace` flight recorder on top (capture → triage →
+//! byte-exact replay of the paper's four failure narratives), `falsify`
+//! runs the multi-dimensional falsification engine end to end (search
+//! three two-axis fault spaces, minimize each counterexample onto the
+//! failure frontier, and ship it as a triaged, replay-verified trace), and
+//! `resume_smoke` SIGKILLs a journaled campaign and checks that its resume
+//! is byte-identical. This library holds what they share: workload sizing,
+//! scenario generation, report persistence and table printing.
 //!
 //! The workload size is controlled by environment variables so the same
 //! binaries serve both quick smoke runs and the full reproduction:
@@ -42,10 +38,6 @@ pub mod confusion;
 
 pub use confusion::{expected_class, ClassScore, MatrixRow, TriageMatrix};
 
-use mls_compute::{ComputeModel, ComputeProfile};
-use mls_core::{
-    BenchmarkSummary, ExecutorConfig, LandingConfig, MissionExecutor, MissionOutcome, SystemVariant,
-};
 use mls_sim_world::{Scenario, ScenarioConfig, ScenarioGenerator};
 
 /// Upper bound on the worker-thread count accepted from `MLS_THREADS`; a
@@ -157,79 +149,6 @@ pub fn generate_scenarios(options: &HarnessOptions) -> Vec<Scenario> {
     ScenarioGenerator::new(config)
         .generate_benchmark(options.seed)
         .expect("benchmark scenario generation cannot fail for validated options")
-}
-
-/// Flies one system variant over every scenario (times `repeats`) on the
-/// campaign engine's persistent work-stealing mission pool
-/// ([`mls_campaign::MissionExecutor::global`]), so repeated harness calls
-/// (one per variant and profile) reuse the same worker threads.
-///
-/// Outcomes are returned in job order (scenario-major within each repeat)
-/// regardless of how the pool schedules them; mission seeds are pure
-/// functions of (benchmark seed, scenario id, repeat), so results are
-/// independent of the thread count.
-pub fn run_missions(
-    scenarios: &[Scenario],
-    variant: SystemVariant,
-    profile: &ComputeProfile,
-    landing: &LandingConfig,
-    executor: &ExecutorConfig,
-    options: &HarnessOptions,
-) -> Vec<MissionOutcome> {
-    let mut jobs: Vec<(usize, u64)> = Vec::new();
-    for repeat in 0..options.repeats {
-        for (index, scenario) in scenarios.iter().enumerate() {
-            let seed = options
-                .seed
-                .wrapping_mul(31)
-                .wrapping_add(scenario.id as u64)
-                .wrapping_add((repeat as u64) << 24);
-            jobs.push((index, seed));
-        }
-    }
-
-    // The persistent pool's job closures outlive this call's borrows, so
-    // the per-call context is moved into shared ownership once.
-    let context = std::sync::Arc::new((
-        scenarios.to_vec(),
-        profile.clone(),
-        landing.clone(),
-        executor.clone(),
-        jobs,
-    ));
-    let count = context.4.len();
-    mls_campaign::MissionExecutor::global().execute(count, options.threads, move |index| {
-        let (scenarios, profile, landing, executor, jobs) = &*context;
-        let (scenario_index, seed) = jobs[index];
-        let compute =
-            ComputeModel::new(profile.clone()).expect("benchmark compute profiles are valid");
-        MissionExecutor::for_variant(
-            &scenarios[scenario_index],
-            variant,
-            landing.clone(),
-            compute,
-            executor.clone(),
-            seed,
-        )
-        .expect("benchmark landing configuration is valid")
-        .run()
-    })
-}
-
-/// Runs a variant and aggregates it into a summary in one call.
-pub fn run_and_summarise(
-    scenarios: &[Scenario],
-    variant: SystemVariant,
-    profile: &ComputeProfile,
-    landing: &LandingConfig,
-    executor: &ExecutorConfig,
-    options: &HarnessOptions,
-) -> (BenchmarkSummary, Vec<MissionOutcome>) {
-    let outcomes = run_missions(scenarios, variant, profile, landing, executor, options);
-    (
-        BenchmarkSummary::from_outcomes(variant, &outcomes),
-        outcomes,
-    )
 }
 
 /// Flushes the observability sinks at the end of a bench run and prints
@@ -393,28 +312,5 @@ mod tests {
         // MLS_QUICK values other than "1" are ignored.
         let options = HarnessOptions::from_lookup(lookup_from(&[("MLS_QUICK", "yes")]));
         assert_eq!(options.maps, HarnessOptions::default().maps);
-    }
-
-    #[test]
-    fn missions_run_in_parallel_and_preserve_order() {
-        let options = HarnessOptions {
-            maps: 1,
-            scenarios_per_map: 2,
-            repeats: 1,
-            threads: 2,
-            seed: 3,
-        };
-        let scenarios = generate_scenarios(&options);
-        let outcomes = run_missions(
-            &scenarios,
-            SystemVariant::MlsV1,
-            &ComputeProfile::desktop_sil(),
-            &LandingConfig::default(),
-            &ExecutorConfig::default(),
-            &options,
-        );
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].scenario_id, scenarios[0].id);
-        assert_eq!(outcomes[1].scenario_id, scenarios[1].id);
     }
 }

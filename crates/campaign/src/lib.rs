@@ -26,8 +26,10 @@
 //!   [`MissionExecutor::global`]) across campaigns, search probes and
 //!   replay verification, so hot paths stop paying pool setup/teardown per
 //!   batch.
-//! * [`runner`] — deterministic mission sweeps on that pool, with
-//!   per-mission deterministic RNG streams, optional early-stopped cells
+//! * [`runner`] — deterministic mission sweeps on that pool, through one
+//!   mission batch path shared by campaigns, probe generations and
+//!   resumes, with per-mission deterministic RNG streams, optional
+//!   early-stopped cells
 //!   ([`EarlyStopPolicy`]) and the streaming [`stats`] accumulators
 //!   (Welford mean/variance, P² percentiles) the per-cell aggregates are
 //!   built from. Reports are byte-identical for a given spec and seed
@@ -35,10 +37,11 @@
 //!   [`CampaignRunner::replay`](runner::CampaignRunner::replay) re-executes
 //!   any recorded trace and byte-compares the regenerated stream.
 //! * [`journal`] — the crash-safety layer: a versioned write-ahead result
-//!   journal recording one fsync'd record per completed work unit, keyed
-//!   by configuration hash with floats as IEEE-754 bit patterns, so an
-//!   interrupted campaign ([`CampaignRunner::resume`](runner::CampaignRunner::resume))
-//!   re-flies only the missing missions and reproduces its artifacts
+//!   journal recording one fsync'd slot record per flown mission (probe
+//!   missions included), keyed by configuration hash with floats as
+//!   IEEE-754 bit patterns, so an interrupted campaign or search
+//!   ([`CampaignRunner::resume`](runner::CampaignRunner::resume)) re-flies
+//!   only the missing missions and reproduces its artifacts
 //!   byte-identically. [`wire`] is the bit-exact encoding of a mission
 //!   slot that each journal record carries.
 //! * [`suites`] — the process-wide [`SuiteCache`] memoizing generated
@@ -48,7 +51,8 @@
 //! * [`search`] — the falsification engine: pluggable [`Searcher`]s
 //!   (coarse-to-fine grid refinement, a small self-contained diagonal
 //!   CMA-ES) driven through an ask/tell batch interface, so a whole
-//!   generation of probes fans out over the executor concurrently
+//!   generation of probes — one-cell campaigns on the runner's slot path —
+//!   flies as one executor batch
 //!   ([`CampaignRunner::run_probe_rates`](runner::CampaignRunner::run_probe_rates))
 //!   while counterexamples and probe logs stay independent of the thread
 //!   count; counterexample minimization

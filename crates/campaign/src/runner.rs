@@ -18,6 +18,7 @@
 //! decided prefix is a pure function of the mission outcomes in job order
 //! ([`EarlyStopPolicy::decide`]).
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -49,8 +50,6 @@ mod instruments {
         missions_poor_landing,
         "mls_campaign_mission_poor_landing_total"
     );
-    cached_counter!(probe_missions, "mls_campaign_probe_missions_total");
-    cached_counter!(probe_skipped, "mls_campaign_probe_missions_skipped_total");
     cached_counter!(early_stops, "mls_campaign_early_stops_total");
     cached_counter!(
         early_stop_missions_saved,
@@ -145,12 +144,11 @@ fn slot_success(slot: &MissionSlot) -> Option<bool> {
     }
 }
 
-/// Recomputes the early-stop decision from mission outcomes in job order —
-/// a pure function identical to the live in-flight [`CellProgress`]
-/// decision, whose prefix cursor only ever advances over contiguous
-/// resolved outcomes. [`CampaignRunner::assemble_report`] replays it over
-/// every batch, however its slots were produced, and journal recovery
-/// replays it over recovered probe outcomes.
+/// Decides early stopping from mission outcomes in job order: the decided
+/// prefix length and verdict, walking only the contiguous resolved prefix.
+/// This is the one early-stop rule — the live in-flight [`CellProgress`]
+/// re-runs it as outcomes land, and [`CampaignRunner::assemble_report`]
+/// replays it over every batch, however its slots were produced.
 fn replay_early_stop(
     policy: &EarlyStopPolicy,
     outcomes: impl Iterator<Item = Option<bool>>,
@@ -172,60 +170,32 @@ fn replay_early_stop(
     )
 }
 
-/// Aggregates one probe's job-ordered mission outcomes into its
-/// [`ProbeRate`], restricted to the deterministic decided prefix — how
-/// [`CampaignRunner::run_probe_rates`] rates a probe recovered from the
-/// journal.
-fn probe_rate_from_outcomes(
-    policy: Option<EarlyStopPolicy>,
-    outcomes: &[Option<bool>],
-    planned: usize,
-) -> ProbeRate {
-    let flown = match policy {
-        Some(policy) => replay_early_stop(&policy, outcomes.iter().copied(), planned).0,
-        None => planned,
-    };
-    let prefix = &outcomes[..flown.min(outcomes.len())];
-    let successes = prefix.iter().filter(|o| **o == Some(true)).count();
-    ProbeRate {
-        success_rate: successes as f64 / flown.max(1) as f64,
-        missions_flown: flown,
-        missions_planned: planned,
-    }
-}
-
 /// Per-cell early-stop bookkeeping shared by the workers flying the cell.
 ///
 /// The decision is deliberately a pure function of the mission outcomes in
-/// *job order*: outcomes land out of order, but the prefix cursor only
-/// advances over contiguous resolved missions, so the decided prefix — and
-/// with it everything the report records — is independent of scheduling.
+/// *job order*: outcomes land out of order, but [`replay_early_stop`] only
+/// walks the contiguous resolved prefix, so the decided prefix — and with
+/// it everything the report records — is independent of scheduling.
 struct CellProgress {
     policy: EarlyStopPolicy,
-    planned: usize,
     inner: Mutex<ProgressInner>,
 }
 
 struct ProgressInner {
+    /// Mission outcomes in job order, `None` until resolved.
     outcomes: Vec<Option<bool>>,
-    /// Length of the contiguous resolved prefix.
-    resolved: usize,
-    /// Successes within the resolved prefix.
-    successes: usize,
-    /// Set once the resolved prefix decides: (prefix length, verdict).
-    decided: Option<(usize, bool)>,
+    /// The decided prefix length: the full schedule until the bound
+    /// decides.
+    prefix: usize,
 }
 
 impl CellProgress {
     fn new(policy: EarlyStopPolicy, planned: usize) -> Self {
         Self {
             policy,
-            planned,
             inner: Mutex::new(ProgressInner {
                 outcomes: vec![None; planned],
-                resolved: 0,
-                successes: 0,
-                decided: None,
+                prefix: planned,
             }),
         }
     }
@@ -233,46 +203,32 @@ impl CellProgress {
     /// Whether the mission at `within` is beyond the decided prefix and
     /// need not fly.
     fn should_skip(&self, within: usize) -> bool {
-        matches!(
-            self.inner.lock().expect("cell progress poisoned").decided,
-            Some((prefix, _)) if within >= prefix
-        )
+        within >= self.inner.lock().expect("cell progress poisoned").prefix
     }
 
-    /// Records one mission outcome and advances the decision prefix.
+    /// Records one mission outcome and re-decides the prefix.
     fn record(&self, within: usize, success: bool) {
         let mut inner = self.inner.lock().expect("cell progress poisoned");
-        if inner.decided.is_some() {
+        let planned = inner.outcomes.len();
+        if inner.prefix < planned {
             // The cell decided while this mission was in flight; its
             // result is outside the prefix and must not influence anything.
             return;
         }
         inner.outcomes[within] = Some(success);
-        while inner.decided.is_none() {
-            let Some(&Some(outcome)) = inner.outcomes.get(inner.resolved) else {
-                break;
-            };
-            inner.resolved += 1;
-            inner.successes += usize::from(outcome);
-            inner.decided = self
-                .policy
-                .decide(inner.successes, inner.resolved, self.planned)
-                .map(|verdict| (inner.resolved, verdict));
-        }
+        let (prefix, _) = replay_early_stop(&self.policy, inner.outcomes.iter().copied(), planned);
+        inner.prefix = prefix;
     }
 
-    /// The final (prefix length, verdict): for cells the bound never
-    /// decided early this is the full schedule with the plain threshold
-    /// comparison.
+    /// The (prefix length, verdict) the outcomes recorded so far decide.
+    #[cfg(test)]
     fn verdict(&self) -> (usize, bool) {
         let inner = self.inner.lock().expect("cell progress poisoned");
-        match inner.decided {
-            Some(decision) => decision,
-            None => (
-                self.planned,
-                (inner.successes as f64 / self.planned.max(1) as f64) >= self.policy.threshold,
-            ),
-        }
+        replay_early_stop(
+            &self.policy,
+            inner.outcomes.iter().copied(),
+            inner.outcomes.len(),
+        )
     }
 }
 
@@ -287,6 +243,89 @@ struct MissionContext {
     recorder: Option<RecorderConfig>,
     progress: Option<Vec<CellProgress>>,
     journal: Option<Arc<Journal>>,
+    /// Slots a previous incarnation journaled, decoded before any job
+    /// starts; each job takes its own.
+    recovered: Mutex<BTreeMap<usize, MissionSlot>>,
+}
+
+impl MissionContext {
+    /// Validates `spec` against its scenario suites (one per entry of
+    /// [`CampaignSpec::families`]) and builds the context its jobs fly
+    /// from. The journal is opened (through `open_journal`) only once the
+    /// spec validates, and its recovered slots feed the per-cell
+    /// early-stop bookkeeping before any job starts: a cell the journal
+    /// already decides skips its tail whatever order the jobs run in, so
+    /// resuming from a complete journal flies nothing.
+    fn new(
+        spec: CampaignSpec,
+        suites: &[Arc<Vec<Scenario>>],
+        open_journal: impl FnOnce() -> Result<Option<Arc<Journal>>, CampaignError>,
+    ) -> Result<Self, CampaignError> {
+        spec.validate()?;
+        if suites.len() != spec.families.len() {
+            return Err(CampaignError::InvalidSpec {
+                reason: format!(
+                    "{} scenario suites supplied but the spec sweeps {} families",
+                    suites.len(),
+                    spec.families.len()
+                ),
+            });
+        }
+        for (family, suite) in spec.families.iter().zip(suites) {
+            if suite.len() != spec.maps * spec.scenarios_per_map {
+                return Err(CampaignError::InvalidSpec {
+                    reason: format!(
+                        "the {} scenario suite has {} scenarios but the spec's grid needs {}",
+                        family.label(),
+                        suite.len(),
+                        spec.maps * spec.scenarios_per_map
+                    ),
+                });
+            }
+        }
+        let cells = spec.cells();
+        let missions_per_cell = spec.missions_per_cell();
+        let config_hash = spec.config_hash()?;
+        let journal = open_journal()?;
+        let progress: Option<Vec<CellProgress>> = spec.probe_early_stop.map(|policy| {
+            cells
+                .iter()
+                .map(|_| CellProgress::new(policy, missions_per_cell))
+                .collect()
+        });
+        let mut recovered = BTreeMap::new();
+        if let Some(journal) = &journal {
+            for index in 0..cells.len() * missions_per_cell {
+                let Some(value) = journal.recovered_slot(config_hash, index) else {
+                    continue;
+                };
+                let slot = crate::wire::slot_from_value(value)?;
+                if let (Some(progress), Some(success)) = (&progress, slot_success(&slot)) {
+                    progress[index / missions_per_cell].record(index % missions_per_cell, success);
+                }
+                recovered.insert(index, slot);
+            }
+            if mls_obs::enabled() && !recovered.is_empty() {
+                instruments::journal_recovered().add(recovered.len() as u64);
+            }
+        }
+        Ok(Self {
+            recorder: spec.capture.captures().then(RecorderConfig::default),
+            spec,
+            cells,
+            suites: suites.to_vec(),
+            missions_per_cell,
+            config_hash,
+            progress,
+            journal,
+            recovered: Mutex::new(recovered),
+        })
+    }
+
+    /// The missions the context's grid plans.
+    fn missions(&self) -> usize {
+        self.cells.len() * self.missions_per_cell
+    }
 }
 
 /// The campaign engine: expands a spec, flies it on the shared persistent
@@ -343,7 +382,7 @@ impl CampaignRunner {
 
     /// Attaches a pre-built journal handle — the form the falsification
     /// search uses to share one search-scoped journal across all its
-    /// member campaigns and probe batches.
+    /// member campaigns and probe generations.
     #[must_use]
     pub fn with_journal_handle(mut self, handle: Arc<JournalHandle>) -> Self {
         self.journal = Some(handle);
@@ -371,8 +410,8 @@ impl CampaignRunner {
         }
     }
 
-    /// Opens this runner's journal for probe batches (`None` when no
-    /// journal is attached); probe records key by each probe spec's own
+    /// Opens this runner's journal for probe generations (`None` when no
+    /// journal is attached); probe slots key by each probe spec's own
     /// hash, so no primary-spec gate applies.
     fn probe_journal(&self) -> Result<Option<Arc<Journal>>, CampaignError> {
         match &self.journal {
@@ -496,72 +535,60 @@ impl CampaignRunner {
         spec: &CampaignSpec,
         suites: &[Arc<Vec<Scenario>>],
     ) -> Result<CampaignReport, CampaignError> {
-        spec.validate()?;
-        if suites.len() != spec.families.len() {
-            return Err(CampaignError::InvalidSpec {
-                reason: format!(
-                    "{} scenario suites supplied but the spec sweeps {} families",
-                    suites.len(),
-                    spec.families.len()
-                ),
-            });
-        }
-        for (family, suite) in spec.families.iter().zip(suites) {
-            if suite.len() != spec.maps * spec.scenarios_per_map {
-                return Err(CampaignError::InvalidSpec {
-                    reason: format!(
-                        "the {} scenario suite has {} scenarios but the spec's grid needs {}",
-                        family.label(),
-                        suite.len(),
-                        spec.maps * spec.scenarios_per_map
-                    ),
-                });
-            }
-        }
-        let cells = spec.cells();
-        let missions_per_cell = spec.missions_per_cell();
-        let total = missions_per_cell * cells.len();
-        let config_hash = spec.config_hash()?;
-        let journal = self.campaign_journal(spec)?;
+        let context = MissionContext::new(spec.clone(), suites, || self.campaign_journal(spec))?;
         let mut campaign_span = mls_obs::span("campaign");
         if campaign_span.is_enabled() {
             campaign_span
                 .field("name", spec.name.as_str())
-                .field("cells", cells.len())
-                .field("missions_planned", total);
-            instruments::cells().add(cells.len() as u64);
-            mls_obs::progress_planned(total as u64);
+                .field("cells", context.cells.len())
+                .field("missions_planned", context.missions());
+            instruments::cells().add(context.cells.len() as u64);
+            mls_obs::progress_planned(context.missions() as u64);
         }
-        let context = Arc::new(MissionContext {
-            progress: spec.probe_early_stop.map(|policy| {
-                cells
-                    .iter()
-                    .map(|_| CellProgress::new(policy, missions_per_cell))
-                    .collect()
-            }),
-            spec: spec.clone(),
-            cells,
-            suites: suites.to_vec(),
-            missions_per_cell,
-            config_hash,
-            recorder: spec.capture.captures().then(RecorderConfig::default),
-            journal,
-        });
+        let mut reports = self.fly(vec![context])?;
+        Ok(reports.pop().expect("one report per context"))
+    }
 
-        // Job `i` maps to (cell, repeat, scenario) in row-major order, so a
-        // cell's missions occupy one contiguous, ordered slice of the
-        // results.
-        let job_context = context.clone();
+    /// Flies the missions of every context as one executor batch — the
+    /// contexts' jobs back to back, each context's in its own job order —
+    /// and assembles one report per context, in order.
+    ///
+    /// A context's job `i` maps to (cell, repeat, scenario) in row-major
+    /// order, so a cell's missions occupy one contiguous, ordered slice of
+    /// the results.
+    fn fly(&self, contexts: Vec<MissionContext>) -> Result<Vec<CampaignReport>, CampaignError> {
+        let starts: Vec<usize> = contexts
+            .iter()
+            .scan(0, |next, context| {
+                let start = *next;
+                *next += context.missions();
+                Some(start)
+            })
+            .collect();
+        let total = contexts.iter().map(MissionContext::missions).sum();
+        let contexts = Arc::new(contexts);
+        let job_contexts = contexts.clone();
         let results: Vec<Result<MissionSlot, CampaignError>> =
             self.executor.execute(total, self.threads, move |index| {
-                run_mission_job(&job_context, index)
+                let owner = starts.partition_point(|&start| start <= index) - 1;
+                run_mission_job(&job_contexts[owner], index - starts[owner])
             });
 
-        let mut slots = Vec::with_capacity(total);
-        for result in results {
-            slots.push(result?);
-        }
-        self.assemble_report(spec, slots)
+        let mut results = results.into_iter();
+        let batches = contexts
+            .iter()
+            .map(|context| {
+                results
+                    .by_ref()
+                    .take(context.missions())
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        contexts
+            .iter()
+            .zip(batches)
+            .map(|(context, slots)| self.assemble_report(&context.spec, slots))
+            .collect()
     }
 
     /// Assembles a [`CampaignReport`] from the complete, job-ordered
@@ -731,61 +758,20 @@ impl CampaignRunner {
         })
     }
 
-    /// Validates a batch of single-cell probe specs against a shared
-    /// scenario suite (each spec expands to exactly one cell, matches the
-    /// suite's dimensions and shares one mission schedule), returning the
-    /// common missions-per-probe count, or [`CampaignError::InvalidSpec`]
-    /// describing the first violation.
-    fn validate_probe_specs(
-        specs: &[CampaignSpec],
-        scenarios: &[Scenario],
-    ) -> Result<usize, CampaignError> {
-        let Some(first) = specs.first() else {
-            return Ok(0);
-        };
-        let missions = first.missions_per_cell();
-        for spec in specs {
-            spec.validate()?;
-            let cells = spec.cells();
-            if cells.len() != 1 || spec.families.len() != 1 {
-                return Err(CampaignError::InvalidSpec {
-                    reason: format!(
-                        "a probe spec must expand to exactly one cell, '{}' has {}",
-                        spec.name,
-                        cells.len()
-                    ),
-                });
-            }
-            if scenarios.len() != spec.maps * spec.scenarios_per_map {
-                return Err(CampaignError::InvalidSpec {
-                    reason: format!(
-                        "the probe suite has {} scenarios but spec '{}' needs {}",
-                        scenarios.len(),
-                        spec.name,
-                        spec.maps * spec.scenarios_per_map
-                    ),
-                });
-            }
-            if spec.missions_per_cell() != missions {
-                return Err(CampaignError::InvalidSpec {
-                    reason: "probe specs of one batch must share a mission schedule".to_string(),
-                });
-            }
-        }
-        Ok(missions)
-    }
-
     /// Evaluates a set of single-cell probe specs over one shared scenario
-    /// suite as a single executor batch, returning each probe's success
-    /// rate and mission count in input order.
+    /// suite, returning each probe's success rate and mission count in
+    /// input order.
     ///
-    /// This is how the falsification engine evaluates probes: a whole
-    /// searcher generation fans out over the executor at mission
-    /// granularity, saturating the pool even when each probe flies only a
-    /// handful of missions, while per-probe early stopping cancels
-    /// missions a probe's decided verdict no longer needs. The rates are
-    /// identical to running each spec through
-    /// [`CampaignRunner::run_with_shared_suites`] one at a time.
+    /// This is how the falsification engine evaluates a searcher
+    /// generation: every probe is a one-cell campaign, and all their
+    /// missions fly as one executor batch, saturating the pool even when
+    /// each probe flies only a handful of missions, while per-probe early
+    /// stopping cancels missions a probe's decided verdict no longer
+    /// needs. Each rate is read from the one cell
+    /// [`CampaignRunner::assemble_report`] produces for its probe, so it
+    /// is the rate [`CampaignRunner::run_with_shared_suites`] records for
+    /// that spec alone. With a journal attached, every probe mission is
+    /// journaled as a slot under its probe spec's hash.
     ///
     /// # Errors
     ///
@@ -799,106 +785,35 @@ impl CampaignRunner {
         if specs.is_empty() {
             return Ok(Vec::new());
         }
-        let missions_per_probe = Self::validate_probe_specs(&specs, &scenarios)?;
-        // With a journal attached, probes a previous incarnation completed
-        // are replayed from their journaled outcome vectors (reduced by
-        // the same pure prefix aggregation the live path uses) and only
-        // the missing probes fly.
-        let journal = self.probe_journal()?;
-        let hashes = match &journal {
-            Some(_) => Some(
-                specs
-                    .iter()
-                    .map(CampaignSpec::config_hash)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            None => None,
-        };
-        let mut rates: Vec<Option<ProbeRate>> = vec![None; specs.len()];
-        let mut probes = Vec::with_capacity(specs.len());
-        let mut probe_indices = Vec::with_capacity(specs.len());
-        for (index, spec) in specs.into_iter().enumerate() {
-            if let (Some(journal), Some(hashes)) = (&journal, &hashes) {
-                if let Some(outcomes) = journal.recovered_probe(hashes[index]) {
-                    if outcomes.len() != missions_per_probe {
-                        return Err(CampaignError::Journal(format!(
-                            "journaled probe {:#018x} carries {} outcomes but spec '{}' \
-                             plans {missions_per_probe}",
-                            hashes[index],
-                            outcomes.len(),
-                            spec.name
-                        )));
-                    }
-                    rates[index] = Some(probe_rate_from_outcomes(
-                        spec.probe_early_stop,
-                        outcomes,
-                        missions_per_probe,
-                    ));
-                    if mls_obs::enabled() {
-                        instruments::journal_recovered().inc();
-                    }
-                    continue;
-                }
+        for spec in &specs {
+            spec.validate()?;
+            let cells = spec.cells().len();
+            if cells != 1 {
+                return Err(CampaignError::InvalidSpec {
+                    reason: format!(
+                        "a probe spec must expand to exactly one cell, '{}' has {cells}",
+                        spec.name
+                    ),
+                });
             }
-            let missions = spec.missions_per_cell();
-            let progress = spec
-                .probe_early_stop
-                .map(|policy| CellProgress::new(policy, missions));
-            let cell = spec
-                .cells()
-                .into_iter()
-                .next()
-                .expect("validated single cell");
-            probes.push(ProbeJob {
-                spec,
-                cell,
-                progress,
-            });
-            probe_indices.push(index);
         }
-        let total = probes.len() * missions_per_probe;
+        let suites = [scenarios];
+        let contexts = specs
+            .into_iter()
+            .map(|spec| MissionContext::new(spec, &suites, || self.probe_journal()))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut probe_span = mls_obs::span("probe_batch");
         if probe_span.is_enabled() {
+            let total: usize = contexts.iter().map(MissionContext::missions).sum();
             probe_span
-                .field("probes", probes.len())
+                .field("probes", contexts.len())
                 .field("missions_planned", total);
             mls_obs::progress_planned(total as u64);
         }
-        let context = Arc::new(ProbeSetContext {
-            probes,
-            scenarios,
-            missions_per_probe,
-        });
-        let job_context = context.clone();
-        let results: Vec<Result<Option<bool>, CampaignError>> =
-            self.executor.execute(total, self.threads, move |index| {
-                run_probe_mission_job(&job_context, index)
-            });
-
-        let mut outcomes = Vec::with_capacity(total);
-        for result in results {
-            outcomes.push(result?);
-        }
-        for (probe_index, probe) in context.probes.iter().enumerate() {
-            let slice =
-                &outcomes[probe_index * missions_per_probe..(probe_index + 1) * missions_per_probe];
-            // Journal the probe's full planned-length outcome vector the
-            // moment the batch lands, before its rate is consumed.
-            if let (Some(journal), Some(hashes)) = (&journal, &hashes) {
-                journal.append_probe(hashes[probe_indices[probe_index]], slice)?;
-            }
-            let rate = probe_rate(probe, slice, missions_per_probe);
-            if mls_obs::enabled() && rate.missions_flown < rate.missions_planned {
-                let saved = (rate.missions_planned - rate.missions_flown) as u64;
-                instruments::early_stops().inc();
-                instruments::early_stop_missions_saved().add(saved);
-                mls_obs::progress_early_stop(saved);
-            }
-            rates[probe_indices[probe_index]] = Some(rate);
-        }
-        Ok(rates
-            .into_iter()
-            .map(|rate| rate.expect("every probe resolved"))
+        Ok(self
+            .fly(contexts)?
+            .iter()
+            .map(|report| ProbeRate::of(&report.cells[0]))
             .collect())
     }
 
@@ -1114,26 +1029,12 @@ impl CampaignRunner {
     }
 }
 
-/// One probe of a batched probe-set evaluation.
-struct ProbeJob {
-    spec: CampaignSpec,
-    cell: CampaignCell,
-    progress: Option<CellProgress>,
-}
-
-/// Shared context of one probe-set batch.
-struct ProbeSetContext {
-    probes: Vec<ProbeJob>,
-    scenarios: Arc<Vec<Scenario>>,
-    missions_per_probe: usize,
-}
-
 /// One probe's evaluated outcome: the success rate over the missions that
 /// actually flew.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeRate {
-    /// Success rate over the flown (decided-prefix) missions — identical
-    /// to the `success_rate` a full [`CampaignReport`] cell would record.
+    /// Success rate over the flown (decided-prefix) missions — the
+    /// `success_rate` the probe's one-cell [`CampaignReport`] records.
     pub success_rate: f64,
     /// Missions actually flown.
     pub missions_flown: usize,
@@ -1141,8 +1042,28 @@ pub struct ProbeRate {
     pub missions_planned: usize,
 }
 
-/// Flies one mission of one campaign batch.
+impl ProbeRate {
+    /// The rate of a probe's one campaign cell.
+    fn of(cell: &CellReport) -> Self {
+        Self {
+            success_rate: cell.success_rate,
+            missions_flown: cell.missions,
+            missions_planned: cell.early_stop.map_or(cell.missions, |stop| stop.planned),
+        }
+    }
+}
+
+/// Flies one mission of one campaign batch, or hands back the slot a
+/// previous incarnation journaled.
 fn run_mission_job(context: &MissionContext, index: usize) -> Result<MissionSlot, CampaignError> {
+    let recovered = context
+        .recovered
+        .lock()
+        .expect("recovered slots poisoned")
+        .remove(&index);
+    if let Some(slot) = recovered {
+        return Ok(slot);
+    }
     let cell = &context.cells[index / context.missions_per_cell];
     let scenarios = context.suites[cell.suite_index].as_ref();
     let within = index % context.missions_per_cell;
@@ -1152,22 +1073,6 @@ fn run_mission_job(context: &MissionContext, index: usize) -> Result<MissionSlot
         .progress
         .as_ref()
         .map(|progress| &progress[cell.index]);
-    // A slot a previous incarnation journaled is replayed, not re-flown.
-    // Its outcome still feeds the live early-stop bookkeeping, so cells
-    // whose decision the journal already contains skip their tails
-    // exactly as the original run did.
-    if let Some(journal) = &context.journal {
-        if let Some(value) = journal.recovered_slot(context.config_hash, index) {
-            let slot = crate::wire::slot_from_value(value)?;
-            if let (Some(progress), MissionSlot::Flown(record)) = (progress, &slot) {
-                progress.record(within, record.result == MissionResult::Success);
-            }
-            if mls_obs::enabled() {
-                instruments::journal_recovered().inc();
-            }
-            return Ok(slot);
-        }
-    }
     if progress.is_some_and(|progress| progress.should_skip(within)) {
         if mls_obs::enabled() {
             instruments::missions_skipped().inc();
@@ -1203,58 +1108,9 @@ fn run_mission_job(context: &MissionContext, index: usize) -> Result<MissionSlot
     Ok(slot)
 }
 
-/// Flies one mission of one probe batch, returning its success (or `None`
-/// when the probe's verdict was already decided).
-fn run_probe_mission_job(
-    context: &ProbeSetContext,
-    index: usize,
-) -> Result<Option<bool>, CampaignError> {
-    let probe = &context.probes[index / context.missions_per_probe];
-    let within = index % context.missions_per_probe;
-    let scenarios = context.scenarios.as_ref();
-    let scenario = &scenarios[within % scenarios.len()];
-    let repeat = within / scenarios.len();
-    if probe
-        .progress
-        .as_ref()
-        .is_some_and(|progress| progress.should_skip(within))
-    {
-        if mls_obs::enabled() {
-            instruments::probe_skipped().inc();
-        }
-        return Ok(None);
-    }
-    let (outcome, _) = fly_mission(&probe.spec, &probe.cell, scenario, repeat, 0, None)?;
-    let success = outcome.result == MissionResult::Success;
-    if let Some(progress) = &probe.progress {
-        progress.record(within, success);
-    }
-    if mls_obs::enabled() {
-        instruments::probe_missions().inc();
-        mls_obs::progress_mission_flown();
-    }
-    Ok(Some(success))
-}
-
-/// Aggregates one probe's mission outcomes into its rate, restricted to
-/// the deterministic decided prefix.
-fn probe_rate(probe: &ProbeJob, outcomes: &[Option<bool>], planned: usize) -> ProbeRate {
-    let flown = match &probe.progress {
-        Some(progress) => progress.verdict().0,
-        None => planned,
-    };
-    let prefix = &outcomes[..flown];
-    let successes = prefix.iter().filter(|o| **o == Some(true)).count();
-    ProbeRate {
-        success_rate: successes as f64 / flown.max(1) as f64,
-        missions_flown: flown,
-        missions_planned: planned,
-    }
-}
-
 /// Flies one mission of one cell, attaching a flight recorder when
 /// `recorder` is given. (`config_hash` is only stamped into the trace
-/// header; recorder-less callers may pass 0.)
+/// header.)
 fn fly_mission(
     spec: &CampaignSpec,
     cell: &CampaignCell,

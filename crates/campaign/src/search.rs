@@ -31,14 +31,15 @@
 //!
 //! Searchers do not pull probes one at a time: each emits its whole next
 //! *generation* (a full lattice sweep, a full CMA-ES population) through an
-//! ask/tell interface, the oracle fans the uncached points of the
-//! generation out over the persistent [`MissionExecutor`] concurrently
-//! ([`CampaignRunner::run_probe_rates`]), and the measured success rates
-//! are told back in deterministic point order. Because every searcher
-//! decision is a pure function of the told rates, and each rate equals
-//! what a one-probe campaign would record, counterexamples, probe logs and
-//! minimizer trajectories are byte-identical at any thread count — the
-//! batch merely keeps the machine saturated while a generation flies.
+//! ask/tell interface, the oracle flies the uncached points of the
+//! generation as one-cell campaigns whose missions share one batch on the
+//! persistent [`MissionExecutor`] ([`CampaignRunner::run_probe_rates`]),
+//! and the measured success rates are told back in deterministic point
+//! order. Because every searcher decision is a pure function of the told
+//! rates, and each rate is read from its one-probe campaign's report,
+//! counterexamples, probe logs and minimizer trajectories are
+//! byte-identical at any thread count — the batch merely keeps the
+//! machine saturated while a generation flies.
 //!
 //! Probe campaigns default to early-stopped mission schedules
 //! ([`FalsificationConfig::probe_early_stop`]): a probe's remaining repeats
@@ -362,10 +363,8 @@ impl FalsificationReport {
 /// [`FaultSpace::validate`]).
 const MAX_SPACE_AXES: usize = FaultKind::ALL.len();
 
-/// Fixed-size, allocation-free memo key: coordinates quantized to 1e-9
-/// (far below any searcher's resolution), so float jitter cannot double-fly
-/// a probe — and a cache hit in a hot loop (the minimizer probes one point
-/// per bisection step) allocates nothing.
+/// Fixed-size memo key: coordinates quantized to 1e-9 (far below any
+/// searcher's resolution), so float jitter cannot double-fly a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PointKey {
     coords: [u64; MAX_SPACE_AXES],
@@ -434,8 +433,11 @@ impl<'a> Oracle<'a> {
     /// are evaluated in first-occurrence order (concurrently, when the
     /// evaluator batches) and logged in exactly the order a sequential
     /// evaluation would have produced.
-    fn success_rates(&mut self, points: &[Vec<f64>]) -> Result<Vec<f64>, CampaignError> {
-        let keys: Vec<PointKey> = points.iter().map(|point| PointKey::of(point)).collect();
+    fn success_rates<P: AsRef<[f64]>>(&mut self, points: &[P]) -> Result<Vec<f64>, CampaignError> {
+        let keys: Vec<PointKey> = points
+            .iter()
+            .map(|point| PointKey::of(point.as_ref()))
+            .collect();
         let mut fresh: Vec<usize> = Vec::new();
         let mut seen: std::collections::HashSet<PointKey> = std::collections::HashSet::new();
         for (index, key) in keys.iter().enumerate() {
@@ -450,7 +452,10 @@ impl<'a> Oracle<'a> {
             instruments::oracle_hits().add((points.len() - fresh.len()) as u64);
         }
         if !fresh.is_empty() {
-            let unique: Vec<Vec<f64>> = fresh.iter().map(|&index| points[index].clone()).collect();
+            let unique: Vec<Vec<f64>> = fresh
+                .iter()
+                .map(|&index| points[index].as_ref().to_vec())
+                .collect();
             let measured = (self.evaluate)(&unique)?;
             if measured.len() != unique.len() {
                 return Err(CampaignError::InvalidSpec {
@@ -464,7 +469,7 @@ impl<'a> Oracle<'a> {
             for (&index, rate) in fresh.iter().zip(measured) {
                 self.cache.insert(keys[index], rate);
                 self.probes.push(ProbePoint {
-                    point: points[index].clone(),
+                    point: points[index].as_ref().to_vec(),
                     success_rate: rate,
                 });
             }
@@ -472,28 +477,9 @@ impl<'a> Oracle<'a> {
         Ok(keys.iter().map(|key| self.cache[key]).collect())
     }
 
-    /// Success rate of one point; a cache hit allocates nothing.
+    /// Success rate of one point: a one-point generation.
     fn success_rate(&mut self, point: &[f64]) -> Result<f64, CampaignError> {
-        let key = PointKey::of(point);
-        if let Some(&rate) = self.cache.get(&key) {
-            if mls_obs::enabled() {
-                instruments::oracle_hits().inc();
-            }
-            return Ok(rate);
-        }
-        if mls_obs::enabled() {
-            instruments::oracle_misses().inc();
-        }
-        let measured = (self.evaluate)(&[point.to_vec()])?;
-        let rate = *measured.first().ok_or_else(|| CampaignError::InvalidSpec {
-            reason: "the probe evaluator returned no rate for one point".to_string(),
-        })?;
-        self.cache.insert(key, rate);
-        self.probes.push(ProbePoint {
-            point: point.to_vec(),
-            success_rate: rate,
-        });
-        Ok(rate)
+        Ok(self.success_rates(&[point])?[0])
     }
 
     fn fails(&mut self, point: &[f64], threshold: f64) -> Result<bool, CampaignError> {
@@ -960,12 +946,13 @@ impl FalsificationSearch {
         self
     }
 
-    /// Attaches a write-ahead result journal at `path`: every probe
-    /// batch, baseline campaign and capture campaign the search flies is
-    /// journaled under its own spec hash, and re-running the same search
-    /// against the same journal replays completed work instead of
-    /// re-flying it — converging on byte-identical reports, probe logs
-    /// and counterexample traces however often the search is interrupted.
+    /// Attaches a write-ahead result journal at `path`: every mission of
+    /// every baseline, probe and capture campaign the search flies is
+    /// journaled as a slot under its campaign's spec hash, and re-running
+    /// the same search against the same journal replays completed
+    /// missions instead of re-flying them — converging on byte-identical
+    /// reports, probe logs and counterexample traces however often the
+    /// search is interrupted.
     /// One journal covers one search target (a `(variant, space)` pair):
     /// re-opening it with the same target under an edited configuration
     /// fails loudly.

@@ -1,5 +1,5 @@
 //! Bit-exact encoding of mission results: the payload of the result
-//! journal's records ([`crate::journal`]).
+//! journal's slot records ([`crate::journal`]), the only record type.
 //!
 //! The journal is JSON, and JSON float formatting is the classic way to
 //! lose byte-identity on a round trip through a file. Every `f64` of a
@@ -83,27 +83,6 @@ fn failsafe_from_code(code: u64) -> Result<FailsafeReason, CampaignError> {
         other => Err(err(format!(
             "journaled slot carries unknown failsafe code {other}"
         ))),
-    }
-}
-
-/// Encodes one probe outcome as its code in a journal probe record: `0`
-/// skipped, `1` failure, `2` success.
-pub fn probe_outcome_code(outcome: Option<bool>) -> u64 {
-    match outcome {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    }
-}
-
-/// Decodes one probe outcome code (see [`probe_outcome_code`]); `None`
-/// for an unknown code.
-pub fn probe_outcome_from_code(code: u64) -> Option<Option<bool>> {
-    match code {
-        0 => Some(None),
-        1 => Some(Some(false)),
-        2 => Some(Some(true)),
-        _ => None,
     }
 }
 
@@ -264,7 +243,6 @@ mod tests {
             slot_from_value(&value),
             Err(CampaignError::Journal(_))
         ));
-        assert_eq!(probe_outcome_from_code(3), None);
     }
 
     #[test]

@@ -13,8 +13,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use mls_campaign::{
-    CampaignError, CampaignRunner, CampaignSpec, FalsificationConfig, FalsificationSearch,
-    FaultAxis, FaultKind, FaultPlan, FaultSpace, GridRefinementConfig, Searcher,
+    CampaignError, CampaignRunner, CampaignSpec, EarlyStopPolicy, FalsificationConfig,
+    FalsificationSearch, FaultAxis, FaultKind, FaultPlan, FaultSpace, GridRefinementConfig,
+    Searcher,
 };
 use mls_core::SystemVariant;
 use mls_trace::TracePolicy;
@@ -231,6 +232,58 @@ fn interrupting_twice_still_converges_to_the_same_bytes() {
 }
 
 #[test]
+fn resuming_a_complete_early_stopped_journal_appends_nothing() {
+    // At 1 thread the batch drains in job order, so every decided tail is
+    // skipped and never journaled. The resume at 2 threads must decide
+    // each cell from its recovered slots before any job starts, or a
+    // concurrent job would re-fly a skipped tail mission.
+    let spec = CampaignSpec {
+        probe_early_stop: Some(EarlyStopPolicy::exact(0.5)),
+        ..tiny_spec("resume-early-stop")
+    };
+    let dir = trace_root("resume-early-stop");
+    let journal = journal_path("resume-early-stop");
+    let _ = fs::remove_file(&journal);
+
+    wipe(&dir);
+    let baseline = CampaignRunner::new(1)
+        .with_journal(&journal)
+        .with_trace_dir(&dir)
+        .run(&spec)
+        .expect("journaled run");
+    assert!(
+        baseline.cells.iter().any(|cell| cell
+            .early_stop
+            .is_some_and(|stop| stop.flown < stop.planned)),
+        "a cell must decide early, leaving a skipped tail"
+    );
+    let baseline_json = baseline.to_json().expect("serialise baseline");
+    let baseline_traces = snapshot_dir(&dir);
+    let complete = fs::read(&journal).expect("read journal");
+
+    wipe(&dir);
+    let resumed = CampaignRunner::new(2)
+        .with_trace_dir(&dir)
+        .resume(&journal)
+        .expect("resume from the complete journal");
+    assert_eq!(
+        complete,
+        fs::read(&journal).expect("re-read journal"),
+        "resuming a complete journal appended records"
+    );
+    assert_eq!(
+        baseline_json,
+        resumed.to_json().expect("serialise resumed"),
+        "the resumed report diverged"
+    );
+    assert_eq!(
+        baseline_traces,
+        snapshot_dir(&dir),
+        "the resumed traces diverged"
+    );
+}
+
+#[test]
 fn resume_rejects_a_journal_whose_spec_was_edited() {
     let spec = tiny_spec("resume-edited");
     let journal = journal_path("resume-edited");
@@ -319,10 +372,26 @@ fn falsification_search_resumes_byte_identically() {
         journaled.baseline_success_rate
     );
 
-    // Kill the search mid-journal, then resume: same probes, same point.
+    // Resuming from the complete journal flies nothing, so it appends
+    // nothing.
     let full = fs::read_to_string(&journal).expect("read search journal");
+    let replayed = FalsificationSearch::new(config.clone(), 2)
+        .with_journal(&journal)
+        .search_space(SystemVariant::MlsV1, &space, &searcher)
+        .expect("search resumed from its complete journal");
+    assert_eq!(
+        baseline.probes, replayed.probes,
+        "replayed probe logs diverged"
+    );
+    assert_eq!(
+        full,
+        fs::read_to_string(&journal).expect("re-read search journal"),
+        "resuming a complete search journal appended records"
+    );
+
+    // Kill the search mid-journal, then resume: same probes, same point.
     let records = full.lines().count() - 1;
-    assert!(records >= 2, "the search must journal probe batches");
+    assert!(records >= 2, "the search must journal its missions");
     let truncated = journal_path("resume-search-killed");
     fs::write(&truncated, journal_prefix(&full, records / 2)).expect("kill search journal");
     let resumed = FalsificationSearch::new(config.clone(), 2)

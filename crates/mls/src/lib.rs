@@ -50,7 +50,6 @@ mod detection;
 mod executor;
 mod fault;
 mod mapping;
-mod metrics;
 mod planning;
 mod system;
 mod trace;
@@ -61,7 +60,6 @@ pub use detection::{DetectionEvent, DetectionModule, DetectionStats};
 pub use executor::{ExecutorConfig, MissionExecutor, MissionOutcome, MissionResult};
 pub use fault::{FaultHook, NoFaults, TickFaults};
 pub use mapping::{MappingBackend, MappingModule, NoMap};
-pub use metrics::BenchmarkSummary;
 pub use planning::{PlannedTrajectory, PlanningModule};
 pub use system::{LandingSystem, SystemVariant};
 pub use trace::{NoTrace, ObservationStage, TraceSink};

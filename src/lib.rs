@@ -19,7 +19,7 @@
 //! * [`sim_uav`] — quadrotor dynamics, autopilot (PID + EKF), sensors.
 //! * [`compute`] — desktop / Jetson Nano compute-platform models.
 //! * [`core`] — the landing system itself: modules, state machine, the
-//!   MLS-V1/V2/V3 variants, mission executor and metrics.
+//!   MLS-V1/V2/V3 variants and the mission executor with its outcomes.
 //! * [`campaign`] — the sharded fault-injection campaign engine: declarative
 //!   sweeps over scenarios × variants × compute profiles × fault plans,
 //!   deterministic JSON/CSV reports, and falsification search for the
