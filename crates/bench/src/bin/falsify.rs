@@ -36,7 +36,7 @@
 
 use std::process::ExitCode;
 
-use mls_bench::{percent, print_header, HarnessOptions};
+use mls_bench::{percent, print_header, seed_var, sizing_var, HarnessOptions};
 use mls_campaign::{
     CmaEsConfig, FalsificationConfig, FalsificationSearch, FaultAxis, FaultKind, FaultSpace,
     GridRefinementConfig, Searcher, SpaceFalsification,
@@ -194,25 +194,31 @@ fn assess(result: &SpaceFalsification) -> bool {
     true
 }
 
+/// The probe suite's `(maps, scenarios per map, explicit MLS_SEED)`.
+///
+/// Falsification flies a whole campaign per probe and dozens of probes per
+/// space, so the default probe suite is tiny (1 map × 2 scenarios); an
+/// explicitly set variable wins over the smallness default, because the
+/// harness-wide defaults (10×10) would make every probe a Table I. A
+/// variable counts as set only when [`HarnessOptions::from_lookup`] would
+/// use its value, so `0` and unparsable values keep these defaults.
+fn probe_suite(lookup: impl Fn(&str) -> Option<String>) -> (usize, usize, Option<u64>) {
+    (
+        sizing_var(&lookup, "MLS_MAPS").unwrap_or(1),
+        sizing_var(&lookup, "MLS_SCENARIOS_PER_MAP").unwrap_or(2),
+        seed_var(&lookup),
+    )
+}
+
 fn main() -> ExitCode {
     print_header("Falsification — minimal multi-axis failures as replayable traces");
     let options = HarnessOptions::from_env();
-    // Falsification flies a whole campaign per probe and dozens of probes
-    // per space, so the default probe suite is tiny (1 map × 2 scenarios);
-    // an explicitly set variable wins over the smallness default, because
-    // the harness-wide defaults (10×10) would make every probe a Table I.
-    let env_set = |name: &str| std::env::var(name).is_ok();
-    let maps = if env_set("MLS_MAPS") { options.maps } else { 1 };
-    let scenarios_per_map = if env_set("MLS_SCENARIOS_PER_MAP") {
-        options.scenarios_per_map
-    } else {
-        2
-    };
+    let (maps, scenarios_per_map, explicit_seed) = probe_suite(|name| std::env::var(name).ok());
     // The default benchmark seed generates a 1×2 suite whose baselines are
     // marginal; seed 3 yields a suite every generation lands clean, which is
     // what a falsification baseline needs. An explicit MLS_SEED still wins,
     // even when it names the default value.
-    let seed = if env_set("MLS_SEED") { options.seed } else { 3 };
+    let seed = explicit_seed.unwrap_or(3);
     let mut config = FalsificationConfig {
         seed,
         maps,
@@ -263,11 +269,7 @@ fn main() -> ExitCode {
         // Each target flies its own scenario family (and, unless MLS_SEED
         // is set, its own baseline-clean probe seed); the search object is
         // otherwise identical.
-        let target_seed = if env_set("MLS_SEED") {
-            seed
-        } else {
-            target.seed_override.unwrap_or(seed)
-        };
+        let target_seed = explicit_seed.or(target.seed_override).unwrap_or(seed);
         let search = FalsificationSearch::new(
             FalsificationConfig {
                 family: target.family,
@@ -319,5 +321,21 @@ fn main() -> ExitCode {
     } else {
         println!("At least one space failed to falsify, capture, triage or replay.");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_values_the_harness_reads_override_the_probe_suite() {
+        let lookup = |name: &str| match name {
+            "MLS_MAPS" => Some("0".to_string()),
+            "MLS_SCENARIOS_PER_MAP" => Some("4".to_string()),
+            "MLS_SEED" => Some("x".to_string()),
+            _ => None,
+        };
+        assert_eq!(probe_suite(lookup), (1, 4, None));
     }
 }

@@ -3,8 +3,8 @@
 //! Every binary in `src/bin/` reproduces one table or figure of the paper's
 //! evaluation, or smoke-tests the engine behind them. Each states its sweep
 //! as a `CampaignSpec` grid and flies it on
-//! [`mls_campaign::CampaignRunner`] — the one mission batch path, sharded
-//! over the engine's persistent work-stealing pool
+//! [`mls_campaign::CampaignRunner`] — the one mission batch path, each
+//! batch self-scheduled over the calling thread and scoped helper threads
 //! ([`mls_campaign::MissionExecutor`]) — then prints the per-cell report
 //! aggregates next to the values the paper reports. `fig5_failure_cases`
 //! adds the `mls-trace` flight recorder on top (capture → triage →
@@ -29,7 +29,9 @@
 //! | `MLS_QUICK` | set to `1` for a 3×4 smoke benchmark | unset |
 //!
 //! A value of `0` for any `MLS_*` sizing variable means "use the default",
-//! consistently across variables.
+//! consistently across variables, and so does an unparsable value — also in
+//! `falsify`, whose own smaller defaults read through the same parse
+//! ([`sizing_var`], [`seed_var`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,13 +105,7 @@ impl HarnessOptions {
         } else {
             Self::default()
         };
-        // `0` is treated as "unset" for every sizing variable: a disabled
-        // knob falls back to the default instead of silently becoming 1.
-        let read = |name: &str| {
-            lookup(name)
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
+        let read = |name: &str| sizing_var(&lookup, name);
         if let Some(v) = read("MLS_MAPS") {
             options.maps = v;
         }
@@ -122,7 +118,7 @@ impl HarnessOptions {
         if let Some(v) = read("MLS_THREADS") {
             options.threads = v.min(MAX_THREADS);
         }
-        if let Some(v) = lookup("MLS_SEED").and_then(|v| v.trim().parse::<u64>().ok()) {
+        if let Some(v) = seed_var(&lookup) {
             options.seed = v;
         }
         options
@@ -132,6 +128,22 @@ impl HarnessOptions {
     pub fn missions_per_variant(&self) -> usize {
         self.maps * self.scenarios_per_map * self.repeats
     }
+}
+
+/// A sizing variable (`MLS_MAPS`, `MLS_SCENARIOS_PER_MAP`, `MLS_REPEATS`,
+/// `MLS_THREADS`) as [`HarnessOptions::from_lookup`] reads it: `None` when
+/// it is unset, unparsable or `0`, so a disabled knob falls back to the
+/// default instead of silently becoming 1.
+pub fn sizing_var(lookup: impl Fn(&str) -> Option<String>, name: &str) -> Option<usize> {
+    lookup(name)
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&v| v > 0)
+}
+
+/// `MLS_SEED` as [`HarnessOptions::from_lookup`] reads it: `None` when it
+/// is unset or unparsable.
+pub fn seed_var(lookup: impl Fn(&str) -> Option<String>) -> Option<u64> {
+    lookup("MLS_SEED").and_then(|v| v.trim().parse::<u64>().ok())
 }
 
 /// Generates the benchmark scenario suite for a set of options.

@@ -1,148 +1,44 @@
-//! The persistent work-stealing mission executor.
+//! The mission executor: each batch of jobs runs on scoped threads.
 //!
-//! Before this module existed, every campaign call spun up its own OS
-//! threads via a scoped-thread `execute_sharded` helper and tore them down
-//! when the batch drained. One campaign pays that once; a falsification
-//! search pays it *per probe* — hundreds of pool setups and teardowns per
-//! space, each over a batch of only a handful of missions. The
-//! [`MissionExecutor`] here replaces that: a pool of persistent worker
-//! threads, owned by the process and shared (via [`MissionExecutor::global`])
-//! across campaigns, search probes and replay verification.
+//! The calling thread plus a few named helpers (`mls-mission-N`), spawned
+//! for that batch alone, claim jobs off a shared atomic cursor until the
+//! batch drains, so heterogeneous mission costs balance without static
+//! chunking. Results come back in job order and mission seeds are pure
+//! functions of grid coordinates, so nothing observable depends on which
+//! thread ran which job.
 //!
-//! Scheduling stays the self-scheduling / work-stealing design of the old
-//! helper: every batch carries a shared atomic cursor and any participating
-//! worker (including the submitting thread) claims the next unclaimed job
-//! until the batch drains, so heterogeneous mission costs balance
-//! automatically and no static chunking underfills a worker. Determinism is
-//! untouched — job *results* are reassembled in index order, and mission
-//! seeds are pure functions of grid coordinates, so nothing observable
-//! depends on which worker ran which job.
-//!
-//! The submitting thread always participates in draining its own batch.
-//! That keeps a one-thread configuration allocation-free (no worker is ever
-//! spawned), guarantees forward progress even when every pool worker is
-//! busy with another batch, and makes nested submissions deadlock-free.
+//! Spawning helpers per batch costs tens of microseconds, which no batch
+//! notices: a batch is a whole campaign grid or searcher generation, lasting
+//! seconds. Scoped helpers let jobs borrow from the caller, and nested or
+//! concurrent batches cannot deadlock — each brings its own helpers.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Result as JobResult;
 use std::time::Instant;
 
-/// Cached executor instruments (see [`crate::obs_util`]).
+/// Cached executor instruments (see [`mls_obs::cached_counter!`]).
 mod instruments {
-    use crate::obs_util::{cached_counter, cached_gauge, cached_seconds_histogram};
+    use mls_obs::{cached_counter, cached_seconds_histogram};
 
     cached_counter!(batches, "mls_executor_batches_total");
     cached_counter!(caller_jobs, "mls_executor_caller_jobs_total");
     cached_counter!(worker_jobs, "mls_executor_worker_jobs_total");
+    // Helper threads spawned, summed over batches.
     cached_counter!(worker_spawns, "mls_executor_worker_spawn_total");
     cached_counter!(job_panics, "mls_executor_job_panics_total");
-    // Batches queued and waiting for helper workers right now.
-    cached_gauge!(queue_depth, "mls_executor_queue_depth");
-    // Pool workers alive (they persist once spawned).
-    cached_gauge!(workers_alive, "mls_executor_workers");
-    // Wall-clock cost of individual jobs (worker utilization is this
+    // Wall-clock cost of individual jobs (thread utilization is this
     // histogram's sum over the batch span's wall time).
     cached_seconds_histogram!(job_seconds, "mls_executor_job_seconds");
 }
 
-/// Type-erased view of a submitted batch, so one pool serves batches of
-/// different result types.
-trait BatchRun: Send + Sync {
-    /// Claims and runs one job (`as_helper` marks pool workers, as opposed
-    /// to the submitting thread draining its own batch); returns `false`
-    /// when no unclaimed jobs remain (the claimer should move on).
-    fn run_one(&self, as_helper: bool) -> bool;
-    /// Whether every job has been claimed (not necessarily finished).
-    fn exhausted(&self) -> bool;
-    /// Registers a worker against the batch's concurrency cap; `false`
-    /// when the cap is already reached.
-    fn try_join(&self) -> bool;
-    /// Releases a slot taken by [`BatchRun::try_join`].
-    fn leave(&self);
-}
-
-/// One submitted batch: the job closure, the work-stealing cursor and the
-/// result slots the submitter collects.
-struct Batch<R> {
-    job: Box<dyn Fn(usize) -> R + Send + Sync>,
-    count: usize,
-    cursor: AtomicUsize,
-    /// Concurrency cap for this batch (the submitting thread counts as one).
-    max_workers: usize,
-    active: AtomicUsize,
-    state: Mutex<BatchState<R>>,
-    finished: Condvar,
-}
-
-struct BatchState<R> {
-    results: Vec<Option<R>>,
-    done: usize,
-    /// The first job panic, propagated to the submitter.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl<R: Send> BatchRun for Batch<R> {
-    fn run_one(&self, as_helper: bool) -> bool {
-        let index = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if index >= self.count {
-            return false;
-        }
-        let observing = mls_obs::enabled();
-        let started = observing.then(Instant::now);
-        let outcome = catch_unwind(AssertUnwindSafe(|| (self.job)(index)));
-        if observing {
-            if let Some(started) = started {
-                instruments::job_seconds().observe(started.elapsed().as_secs_f64());
-            }
-            if as_helper {
-                instruments::worker_jobs().inc();
-            } else {
-                instruments::caller_jobs().inc();
-            }
-        }
-        let mut state = self.state.lock().expect("batch state poisoned");
-        match outcome {
-            Ok(result) => state.results[index] = Some(result),
-            Err(payload) => {
-                let payload = attach_panic_context(payload, index, as_helper);
-                if state.panic.is_none() {
-                    state.panic = Some(payload);
-                }
-            }
-        }
-        state.done += 1;
-        if state.done == self.count {
-            self.finished.notify_all();
-        }
-        true
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cursor.load(Ordering::Relaxed) >= self.count
-    }
-
-    fn try_join(&self) -> bool {
-        self.active
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |active| {
-                (active < self.max_workers).then_some(active + 1)
-            })
-            .is_ok()
-    }
-
-    fn leave(&self) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Wraps a job panic payload with the context `catch_unwind` erased: which
-/// job index died, and on which thread (pool worker name, or the
-/// submitting thread). String-ish payloads are rewrapped with the context
-/// prefixed; exotic payload types are propagated untouched rather than
-/// lossily stringified. Also records the panic as a terminal obs event.
+/// job index died, and on which thread (helper name, or the submitting
+/// thread). String-ish payloads are rewrapped with the context prefixed;
+/// exotic payload types are propagated untouched rather than lossily
+/// stringified. Also records the panic as a terminal obs event.
 fn attach_panic_context(
     payload: Box<dyn Any + Send>,
     index: usize,
@@ -150,7 +46,7 @@ fn attach_panic_context(
 ) -> Box<dyn Any + Send> {
     let thread = std::thread::current();
     let where_ = if as_helper {
-        format!("pool worker {}", thread.name().unwrap_or("unnamed"))
+        format!("helper thread {}", thread.name().unwrap_or("unnamed"))
     } else {
         "the submitting thread".to_string()
     };
@@ -181,74 +77,25 @@ fn attach_panic_context(
     }
 }
 
-/// State shared between the pool handle and its worker threads.
-struct PoolShared {
-    queue: Mutex<VecDeque<Arc<dyn BatchRun>>>,
-    available: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl PoolShared {
-    /// Blocks until a joinable batch is queued (returns it) or the pool
-    /// shuts down (returns `None`).
-    fn next_batch(&self) -> Option<Arc<dyn BatchRun>> {
-        let mut queue = self.queue.lock().expect("executor queue poisoned");
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return None;
-            }
-            queue.retain(|batch| !batch.exhausted());
-            if let Some(batch) = queue.iter().find(|batch| batch.try_join()) {
-                return Some(batch.clone());
-            }
-            queue = self.available.wait(queue).expect("executor queue poisoned");
-        }
-    }
-}
-
-/// A persistent pool of mission worker threads with work-stealing batch
-/// execution.
-///
-/// Workers are spawned lazily, the first time a batch actually needs them,
-/// and then live for the lifetime of the pool — a falsification search
-/// running hundreds of small probe campaigns reuses the same threads
-/// throughout instead of paying pool setup and teardown per probe. One
-/// process-wide pool ([`MissionExecutor::global`]) is shared by every
-/// [`CampaignRunner`](crate::CampaignRunner) unless a private pool is
-/// attached explicitly.
+/// Runs batches of mission jobs on the calling thread plus scoped helper
+/// threads. It holds no threads between batches, only the cap on helpers
+/// per batch; every [`CampaignRunner`](crate::CampaignRunner) shares
+/// [`MissionExecutor::global`] unless another is attached.
+#[derive(Debug)]
 pub struct MissionExecutor {
-    shared: Arc<PoolShared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Hard cap on worker threads this pool will ever spawn.
+    /// Most helper threads one batch spawns (the caller is not counted).
     max_workers: usize,
 }
 
-impl std::fmt::Debug for MissionExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MissionExecutor")
-            .field("spawned", &self.spawned())
-            .field("max_workers", &self.max_workers)
-            .finish()
-    }
-}
-
 impl MissionExecutor {
-    /// Creates an empty pool that will spawn at most `max_workers` worker
-    /// threads, lazily, as batches demand them.
+    /// Creates an executor whose batches spawn at most `max_workers` helper
+    /// threads each.
     pub fn new(max_workers: usize) -> Arc<Self> {
-        Arc::new(Self {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            }),
-            workers: Mutex::new(Vec::new()),
-            max_workers,
-        })
+        Arc::new(Self { max_workers })
     }
 
-    /// The process-wide shared pool: sized by the machine, reused by every
-    /// campaign, probe and replay in the process.
+    /// The process-wide executor, capped by
+    /// [`CampaignRunner::MAX_THREADS`](crate::CampaignRunner::MAX_THREADS).
     pub fn global() -> Arc<Self> {
         static GLOBAL: OnceLock<Arc<MissionExecutor>> = OnceLock::new();
         GLOBAL
@@ -256,157 +103,95 @@ impl MissionExecutor {
             .clone()
     }
 
-    /// Worker threads spawned so far (they persist once spawned).
-    pub fn spawned(&self) -> usize {
-        self.workers
-            .lock()
-            .expect("executor workers poisoned")
-            .len()
-    }
-
-    /// Runs `count` jobs with at most `threads` concurrent executors (the
-    /// calling thread is one of them) and returns the results in job
-    /// order.
+    /// Runs `count` jobs with at most `threads` concurrent executors and
+    /// returns the results in job order.
     ///
-    /// Jobs are claimed dynamically off a shared cursor, so heterogeneous
-    /// job costs balance across workers; the result order never depends on
-    /// scheduling. The calling thread participates in draining the batch,
-    /// so a `threads == 1` batch runs entirely on the caller and spawns
-    /// nothing.
+    /// The calling thread is one executor; `min(threads − 1, max_workers)`
+    /// helper threads are spawned for this batch and joined before it
+    /// returns. Jobs are claimed dynamically off a shared cursor, so
+    /// heterogeneous job costs balance across threads; the result order
+    /// never depends on scheduling. A `threads == 1` batch runs entirely on
+    /// the caller and spawns nothing.
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic raised by a job.
+    /// Every job runs to completion; then the first panic in job order is
+    /// re-raised, with its job index and thread prefixed to string
+    /// payloads.
     pub fn execute<R, F>(&self, count: usize, threads: usize, job: F) -> Vec<R>
     where
-        R: Send + 'static,
-        F: Fn(usize) -> R + Send + Sync + 'static,
+        R: Send,
+        F: Fn(usize) -> R + Sync,
     {
         if count == 0 {
             return Vec::new();
         }
         let threads = threads.clamp(1, count);
+        let helpers = (threads - 1).min(self.max_workers);
         let mut batch_span = mls_obs::span("executor_batch");
         batch_span.field("jobs", count).field("threads", threads);
         if batch_span.is_enabled() {
             instruments::batches().inc();
+            instruments::worker_spawns().add(helpers as u64);
         }
-        let batch = Arc::new(Batch {
-            job: Box::new(job),
-            count,
-            cursor: AtomicUsize::new(0),
-            max_workers: threads,
-            active: AtomicUsize::new(1), // the submitting thread
-            state: Mutex::new(BatchState {
-                results: (0..count).map(|_| None).collect(),
-                done: 0,
-                panic: None,
-            }),
-            finished: Condvar::new(),
+
+        let cursor = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<JobResult<R>>>> =
+            Mutex::new((0..count).map(|_| None).collect());
+        let drain = |as_helper: bool| loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= count {
+                return;
+            }
+            let observing = mls_obs::enabled();
+            let started = observing.then(Instant::now);
+            let outcome = catch_unwind(AssertUnwindSafe(|| job(index)))
+                .map_err(|payload| attach_panic_context(payload, index, as_helper));
+            if observing {
+                if let Some(started) = started {
+                    instruments::job_seconds().observe(started.elapsed().as_secs_f64());
+                }
+                if as_helper {
+                    instruments::worker_jobs().inc();
+                } else {
+                    instruments::caller_jobs().inc();
+                }
+            }
+            slots.lock().expect("batch results poisoned")[index] = Some(outcome);
+        };
+        std::thread::scope(|scope| {
+            for n in 0..helpers {
+                std::thread::Builder::new()
+                    .name(format!("mls-mission-{n}"))
+                    .spawn_scoped(scope, || drain(true))
+                    .expect("spawning a mission helper thread failed");
+            }
+            drain(false);
         });
 
-        // Helpers beyond the caller are only useful when the batch allows
-        // more than one concurrent executor.
-        if threads > 1 {
-            self.ensure_workers(threads - 1);
-            let erased: Arc<dyn BatchRun> = batch.clone();
-            let mut queue = self.shared.queue.lock().expect("executor queue poisoned");
-            queue.push_back(erased);
-            if mls_obs::enabled() {
-                instruments::queue_depth().set(queue.len() as f64);
-            }
-            drop(queue);
-            self.shared.available.notify_all();
-        }
-
-        // The caller drains its own batch alongside the pool workers.
-        while batch.run_one(false) {}
-
-        // Drop exhausted batches from the queue eagerly: idle workers only
-        // prune on their next wakeup, which may never come, and a lingering
-        // batch pins its job closure (and everything the closure captured —
-        // suites, specs) for the pool's lifetime.
-        if threads > 1 {
-            let mut queue = self.shared.queue.lock().expect("executor queue poisoned");
-            queue.retain(|queued| !queued.exhausted());
-            if mls_obs::enabled() {
-                instruments::queue_depth().set(queue.len() as f64);
-            }
-        }
-
-        let mut state = batch.state.lock().expect("batch state poisoned");
-        while state.done < count {
-            state = batch.finished.wait(state).expect("batch state poisoned");
-        }
-        if let Some(payload) = state.panic.take() {
-            drop(state);
-            resume_unwind(payload);
-        }
-        let results = state
-            .results
-            .iter_mut()
-            .map(|slot| slot.take().expect("a finished batch has every result"))
-            .collect();
-        drop(state);
-        drop(batch_span);
-        results
-    }
-
-    /// Spawns workers until at least `needed` exist (capped by
-    /// `max_workers`).
-    fn ensure_workers(&self, needed: usize) {
-        let needed = needed.min(self.max_workers);
-        let mut workers = self.workers.lock().expect("executor workers poisoned");
-        while workers.len() < needed {
-            let shared = self.shared.clone();
-            let name = format!("mls-mission-{}", workers.len());
-            workers.push(
-                std::thread::Builder::new()
-                    .name(name)
-                    .spawn(move || {
-                        while let Some(batch) = shared.next_batch() {
-                            while batch.run_one(true) {}
-                            batch.leave();
-                        }
-                    })
-                    .expect("spawning a mission worker thread failed"),
-            );
-            if mls_obs::enabled() {
-                instruments::worker_spawns().inc();
-                instruments::workers_alive().set(workers.len() as f64);
-            }
-        }
-    }
-}
-
-impl Drop for MissionExecutor {
-    fn drop(&mut self) {
-        {
-            // The store must happen under the queue lock: a worker between
-            // its shutdown check and its Condvar wait would otherwise miss
-            // this (final) notify and sleep forever, hanging the join
-            // below.
-            let _queue = self.shared.queue.lock().expect("executor queue poisoned");
-            self.shared.shutdown.store(true, Ordering::Relaxed);
-            self.shared.available.notify_all();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock().expect("executor workers poisoned"));
-        for worker in workers {
-            // A worker that panicked already surfaced the panic through the
-            // submitting batch; joining best-effort keeps shutdown clean.
-            let _ = worker.join();
-        }
+        slots
+            .into_inner()
+            .expect("batch results poisoned")
+            .into_iter()
+            .map(|slot| match slot.expect("a drained batch ran every job") {
+                Ok(result) => result,
+                Err(payload) => resume_unwind(payload),
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+
     use super::*;
 
     #[test]
     fn execute_preserves_job_order() {
-        let pool = MissionExecutor::new(8);
-        let results = pool.execute(100, 7, |i| i * 2);
+        let executor = MissionExecutor::new(8);
+        let results = executor.execute(100, 7, |i| i * 2);
         assert_eq!(results.len(), 100);
         for (i, value) in results.iter().enumerate() {
             assert_eq!(*value, i * 2);
@@ -415,34 +200,40 @@ mod tests {
 
     #[test]
     fn execute_handles_degenerate_sizes() {
-        let pool = MissionExecutor::new(4);
-        assert!(pool.execute(0, 4, |i| i).is_empty());
-        assert_eq!(pool.execute(1, 16, |i| i + 1), vec![1]);
+        let executor = MissionExecutor::new(4);
+        assert!(executor.execute(0, 4, |i| i).is_empty());
+        assert_eq!(executor.execute(1, 16, |i| i + 1), vec![1]);
     }
 
     #[test]
-    fn single_thread_batches_spawn_no_workers() {
-        let pool = MissionExecutor::new(4);
-        let results = pool.execute(10, 1, |i| i + 1);
-        assert_eq!(results[9], 10);
-        assert_eq!(pool.spawned(), 0, "the caller drains 1-thread batches");
+    fn single_thread_batches_run_on_the_calling_thread() {
+        let executor = MissionExecutor::new(4);
+        let caller = std::thread::current().id();
+        let threads = executor.execute(10, 1, |_| std::thread::current().id());
+        assert!(threads.iter().all(|&thread| thread == caller));
     }
 
     #[test]
-    fn workers_persist_across_batches() {
-        let pool = MissionExecutor::new(4);
-        pool.execute(8, 3, |i| i);
-        let after_first = pool.spawned();
-        assert!((1..=2).contains(&after_first));
-        pool.execute(8, 3, |i| i);
-        assert_eq!(pool.spawned(), after_first, "no re-spawn per batch");
+    fn max_workers_caps_the_helpers_of_every_batch() {
+        let executor = MissionExecutor::new(1);
+        // Every job waits for a job on another thread, so the batch needs
+        // two threads, and the cap allows no third.
+        let barrier = Barrier::new(2);
+        let threads: HashSet<_> = executor
+            .execute(16, 8, |_| {
+                barrier.wait();
+                std::thread::current().id()
+            })
+            .into_iter()
+            .collect();
+        assert_eq!(threads.len(), 2, "the caller plus one helper");
     }
 
     #[test]
     fn job_panics_propagate_to_the_submitter() {
-        let pool = MissionExecutor::new(2);
+        let executor = MissionExecutor::new(2);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.execute(4, 2, |i| {
+            executor.execute(4, 2, |i| {
                 if i == 2 {
                     panic!("mission failed hard");
                 }
@@ -461,15 +252,15 @@ mod tests {
             message.ends_with(": mission failed hard"),
             "original message missing: {message}"
         );
-        // The pool survives a panicking batch.
-        assert_eq!(pool.execute(3, 2, |i| i), vec![0, 1, 2]);
+        // The executor survives a panicking batch.
+        assert_eq!(executor.execute(3, 2, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn non_string_panic_payloads_propagate_untouched() {
-        let pool = MissionExecutor::new(1);
+        let executor = MissionExecutor::new(1);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.execute(1, 1, |_| -> usize { std::panic::panic_any(42usize) })
+            executor.execute(1, 1, |_| -> usize { std::panic::panic_any(42usize) })
         }));
         let payload = result.expect_err("the panic must reach the caller");
         assert_eq!(payload.downcast_ref::<usize>(), Some(&42));
@@ -485,10 +276,10 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_both_complete() {
-        let pool = MissionExecutor::new(4);
-        let other = pool.clone();
+        let executor = MissionExecutor::new(4);
+        let other = executor.clone();
         let handle = std::thread::spawn(move || other.execute(50, 2, |i| i));
-        let mine = pool.execute(50, 2, |i| i + 1);
+        let mine = executor.execute(50, 2, |i| i + 1);
         let theirs = handle.join().unwrap();
         assert_eq!(mine[49], 50);
         assert_eq!(theirs[49], 49);

@@ -21,12 +21,11 @@
 //!   scenario-suite dimensions × system variants × compute profiles ×
 //!   single-fault plans and multi-fault `combos`, plus the [`TracePolicy`]
 //!   deciding which missions keep their traces.
-//! * [`executor`] — the persistent work-stealing [`MissionExecutor`] pool:
-//!   worker threads spawned once per process and shared (via
-//!   [`MissionExecutor::global`]) across campaigns, search probes and
-//!   replay verification, so hot paths stop paying pool setup/teardown per
-//!   batch.
-//! * [`runner`] — deterministic mission sweeps on that pool, through one
+//! * [`executor`] — the self-scheduling [`MissionExecutor`]: each batch
+//!   runs on the calling thread plus scoped helper threads that claim jobs
+//!   off a shared cursor and are joined before the batch returns, so jobs
+//!   may borrow what they fly from the caller.
+//! * [`runner`] — deterministic mission sweeps on that executor, through one
 //!   mission batch path shared by campaigns, probe generations and
 //!   resumes, with per-mission deterministic RNG streams, optional
 //!   early-stopped cells
@@ -118,7 +117,6 @@ use std::fmt;
 pub mod executor;
 pub mod faults;
 pub mod journal;
-mod obs_util;
 pub mod report;
 pub mod runner;
 pub mod search;

@@ -1,13 +1,12 @@
-//! The campaign runner: deterministic mission sweeps on the persistent
-//! work-stealing executor.
+//! The campaign runner: deterministic mission sweeps on the self-scheduling
+//! mission executor.
 //!
 //! Missions are independent, but their costs vary wildly (a V1 mission that
 //! crashes in 40 s is an order of magnitude cheaper than a V3 mission that
 //! searches, validates and descends). Every batch therefore runs on the
-//! self-scheduling [`MissionExecutor`] pool: workers claim the next job off
-//! a shared cursor until the batch drains, so load balances automatically —
-//! and the pool's threads persist across campaigns, probes and replay
-//! verification instead of being spun up per call.
+//! [`MissionExecutor`]: the calling thread and the batch's helper threads
+//! claim the next job off a shared cursor until the batch drains, so load
+//! balances automatically.
 //!
 //! Determinism is preserved by separating *execution* order from
 //! *aggregation* order: each mission's seed is a pure function of its grid
@@ -38,9 +37,9 @@ use crate::stats::MetricAccumulator;
 use crate::suites::{SuiteCache, SuiteKey};
 use crate::CampaignError;
 
-/// Cached campaign instruments (see [`crate::obs_util`]).
+/// Cached campaign instruments (see [`mls_obs::cached_counter!`]).
 mod instruments {
-    use crate::obs_util::cached_counter;
+    use mls_obs::cached_counter;
 
     cached_counter!(missions_flown, "mls_campaign_missions_flown_total");
     cached_counter!(missions_skipped, "mls_campaign_missions_skipped_total");
@@ -232,12 +231,11 @@ impl CellProgress {
     }
 }
 
-/// Everything a campaign's mission jobs need, owned so the persistent
-/// executor's `'static` closures can share it.
-struct MissionContext {
-    spec: CampaignSpec,
+/// Everything a campaign's mission jobs need.
+struct MissionContext<'a> {
+    spec: &'a CampaignSpec,
     cells: Vec<CampaignCell>,
-    suites: Vec<Arc<Vec<Scenario>>>,
+    suites: &'a [Arc<Vec<Scenario>>],
     missions_per_cell: usize,
     config_hash: u64,
     recorder: Option<RecorderConfig>,
@@ -248,7 +246,7 @@ struct MissionContext {
     recovered: Mutex<BTreeMap<usize, MissionSlot>>,
 }
 
-impl MissionContext {
+impl<'a> MissionContext<'a> {
     /// Validates `spec` against its scenario suites (one per entry of
     /// [`CampaignSpec::families`]) and builds the context its jobs fly
     /// from. The journal is opened (through `open_journal`) only once the
@@ -257,8 +255,8 @@ impl MissionContext {
     /// already decides skips its tail whatever order the jobs run in, so
     /// resuming from a complete journal flies nothing.
     fn new(
-        spec: CampaignSpec,
-        suites: &[Arc<Vec<Scenario>>],
+        spec: &'a CampaignSpec,
+        suites: &'a [Arc<Vec<Scenario>>],
         open_journal: impl FnOnce() -> Result<Option<Arc<Journal>>, CampaignError>,
     ) -> Result<Self, CampaignError> {
         spec.validate()?;
@@ -313,7 +311,7 @@ impl MissionContext {
             recorder: spec.capture.captures().then(RecorderConfig::default),
             spec,
             cells,
-            suites: suites.to_vec(),
+            suites,
             missions_per_cell,
             config_hash,
             progress,
@@ -328,7 +326,7 @@ impl MissionContext {
     }
 }
 
-/// The campaign engine: expands a spec, flies it on the shared persistent
+/// The campaign engine: expands a spec, flies it on the shared mission
 /// executor and aggregates a deterministic report.
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
@@ -463,8 +461,8 @@ impl CampaignRunner {
         self.with_journal_handle(handle).run(&spec)
     }
 
-    /// Attaches a private executor pool instead of the process-wide one
-    /// (tests that count spawned workers use this).
+    /// Attaches another executor instead of the process-wide one (its
+    /// `max_workers` caps the helper threads of this runner's batches).
     #[must_use]
     pub fn with_executor(mut self, executor: Arc<MissionExecutor>) -> Self {
         self.executor = executor;
@@ -500,11 +498,6 @@ impl CampaignRunner {
         self.threads
     }
 
-    /// The executor pool this runner submits batches to.
-    pub fn executor(&self) -> &Arc<MissionExecutor> {
-        &self.executor
-    }
-
     /// Runs the campaign end to end: per-family scenario suites (memoized
     /// in the suite cache), the sharded mission sweep, and per-cell
     /// aggregation.
@@ -535,7 +528,7 @@ impl CampaignRunner {
         spec: &CampaignSpec,
         suites: &[Arc<Vec<Scenario>>],
     ) -> Result<CampaignReport, CampaignError> {
-        let context = MissionContext::new(spec.clone(), suites, || self.campaign_journal(spec))?;
+        let context = MissionContext::new(spec, suites, || self.campaign_journal(spec))?;
         let mut campaign_span = mls_obs::span("campaign");
         if campaign_span.is_enabled() {
             campaign_span
@@ -545,7 +538,7 @@ impl CampaignRunner {
             instruments::cells().add(context.cells.len() as u64);
             mls_obs::progress_planned(context.missions() as u64);
         }
-        let mut reports = self.fly(vec![context])?;
+        let mut reports = self.fly(&[context])?;
         Ok(reports.pop().expect("one report per context"))
     }
 
@@ -556,7 +549,7 @@ impl CampaignRunner {
     /// A context's job `i` maps to (cell, repeat, scenario) in row-major
     /// order, so a cell's missions occupy one contiguous, ordered slice of
     /// the results.
-    fn fly(&self, contexts: Vec<MissionContext>) -> Result<Vec<CampaignReport>, CampaignError> {
+    fn fly(&self, contexts: &[MissionContext]) -> Result<Vec<CampaignReport>, CampaignError> {
         let starts: Vec<usize> = contexts
             .iter()
             .scan(0, |next, context| {
@@ -566,12 +559,10 @@ impl CampaignRunner {
             })
             .collect();
         let total = contexts.iter().map(MissionContext::missions).sum();
-        let contexts = Arc::new(contexts);
-        let job_contexts = contexts.clone();
         let results: Vec<Result<MissionSlot, CampaignError>> =
-            self.executor.execute(total, self.threads, move |index| {
+            self.executor.execute(total, self.threads, |index| {
                 let owner = starts.partition_point(|&start| start <= index) - 1;
-                run_mission_job(&job_contexts[owner], index - starts[owner])
+                run_mission_job(&contexts[owner], index - starts[owner])
             });
 
         let mut results = results.into_iter();
@@ -587,7 +578,7 @@ impl CampaignRunner {
         contexts
             .iter()
             .zip(batches)
-            .map(|(context, slots)| self.assemble_report(&context.spec, slots))
+            .map(|(context, slots)| self.assemble_report(context.spec, slots))
             .collect()
     }
 
@@ -764,7 +755,7 @@ impl CampaignRunner {
     ///
     /// This is how the falsification engine evaluates a searcher
     /// generation: every probe is a one-cell campaign, and all their
-    /// missions fly as one executor batch, saturating the pool even when
+    /// missions fly as one executor batch, saturating the threads even when
     /// each probe flies only a handful of missions, while per-probe early
     /// stopping cancels missions a probe's decided verdict no longer
     /// needs. Each rate is read from the one cell
@@ -799,7 +790,7 @@ impl CampaignRunner {
         }
         let suites = [scenarios];
         let contexts = specs
-            .into_iter()
+            .iter()
             .map(|spec| MissionContext::new(spec, &suites, || self.probe_journal()))
             .collect::<Result<Vec<_>, _>>()?;
         let mut probe_span = mls_obs::span("probe_batch");
@@ -811,7 +802,7 @@ impl CampaignRunner {
             mls_obs::progress_planned(total as u64);
         }
         Ok(self
-            .fly(contexts)?
+            .fly(&contexts)?
             .iter()
             .map(|report| ProbeRate::of(&report.cells[0]))
             .collect())
@@ -1080,7 +1071,7 @@ fn run_mission_job(context: &MissionContext, index: usize) -> Result<MissionSlot
         return Ok(MissionSlot::Skipped);
     }
     let (outcome, trace) = fly_mission(
-        &context.spec,
+        context.spec,
         cell,
         scenario,
         repeat,
@@ -1265,12 +1256,14 @@ mod tests {
     }
 
     #[test]
-    fn runners_share_the_global_executor_and_suite_cache() {
+    fn runners_share_the_global_suite_cache() {
+        let spec = CampaignSpec::smoke();
         let a = CampaignRunner::new(2);
         let b = CampaignRunner::new(4);
-        assert!(Arc::ptr_eq(a.executor(), b.executor()));
+        let suite = a.generate_scenarios(&spec).unwrap();
+        assert!(Arc::ptr_eq(&suite, &b.generate_scenarios(&spec).unwrap()));
         let c = a.clone();
-        assert!(Arc::ptr_eq(a.executor(), c.executor()));
+        assert!(Arc::ptr_eq(&suite, &c.generate_scenarios(&spec).unwrap()));
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //! *generation* (a full lattice sweep, a full CMA-ES population) through an
 //! ask/tell interface, the oracle flies the uncached points of the
 //! generation as one-cell campaigns whose missions share one batch on the
-//! persistent [`MissionExecutor`] ([`CampaignRunner::run_probe_rates`]),
+//! [`MissionExecutor`](crate::MissionExecutor)
+//! ([`CampaignRunner::run_probe_rates`]),
 //! and the measured success rates are told back in deterministic point
 //! order. Because every searcher decision is a pure function of the told
 //! rates, and each rate is read from its one-probe campaign's report,
@@ -58,16 +59,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::executor::MissionExecutor;
 use crate::faults::{FaultKind, FaultPlan, FaultSpace};
 use crate::report::TraceLink;
 use crate::runner::CampaignRunner;
 use crate::spec::{CampaignSpec, EarlyStopPolicy};
 use crate::CampaignError;
 
-/// Cached search instruments (see [`crate::obs_util`]).
+/// Cached search instruments (see [`mls_obs::cached_counter!`]).
 mod instruments {
-    use crate::obs_util::cached_counter;
+    use mls_obs::cached_counter;
 
     cached_counter!(oracle_hits, "mls_search_oracle_hits_total");
     cached_counter!(oracle_misses, "mls_search_oracle_misses_total");
@@ -911,8 +911,8 @@ pub struct FalsificationSearch {
 
 impl FalsificationSearch {
     /// Creates a search executing probes on up to `threads` concurrent
-    /// mission workers of the shared persistent executor, one batch per
-    /// searcher generation.
+    /// mission threads of the shared executor, one batch per searcher
+    /// generation.
     pub fn new(config: FalsificationConfig, threads: usize) -> Self {
         Self {
             config,
@@ -929,11 +929,6 @@ impl FalsificationSearch {
     /// The campaign runner probes fly on (shared with replay verification).
     pub fn runner(&self) -> &CampaignRunner {
         &self.runner
-    }
-
-    /// The executor pool probes fan out over.
-    pub fn executor(&self) -> &Arc<MissionExecutor> {
-        self.runner.executor()
     }
 
     /// Overrides the base directory counterexample traces are persisted in:
@@ -1174,24 +1169,6 @@ impl FalsificationSearch {
                 Ok(oracle.fails(&corner, threshold)?.then_some(corner))
             }
         }
-    }
-
-    /// Falsifies several (variant, space) pairs with one searcher, returning
-    /// a combined report in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`FalsificationSearch::falsify`] errors.
-    pub fn falsify_all(
-        &self,
-        targets: &[(SystemVariant, FaultSpace)],
-        searcher: &Searcher,
-    ) -> Result<FalsificationReport, CampaignError> {
-        let mut results = Vec::with_capacity(targets.len());
-        for (variant, space) in targets {
-            results.push(self.falsify(*variant, space, searcher)?);
-        }
-        Ok(FalsificationReport { results })
     }
 
     /// Re-flies the minimized point with the flight recorder on, persists

@@ -6,9 +6,7 @@
 //! nine bench binaries each rebuild the same benchmark suite per campaign
 //! they fly, and a multi-space `falsify` run regenerates one identical
 //! suite per space. The [`SuiteCache`] generates each distinct suite once
-//! per process and hands out shared [`Arc`] references, which also gives
-//! the persistent mission executor the owned suite handles its `'static`
-//! job closures need.
+//! per process and hands out shared [`Arc`] references.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -17,9 +15,9 @@ use mls_sim_world::{Scenario, ScenarioConfig, ScenarioFamily, ScenarioGenerator}
 
 use crate::CampaignError;
 
-/// Cached suite-cache instruments (see [`crate::obs_util`]).
+/// Cached suite-cache instruments (see [`mls_obs::cached_counter!`]).
 mod instruments {
-    use crate::obs_util::cached_counter;
+    use mls_obs::cached_counter;
 
     cached_counter!(hits, "mls_suite_cache_hits_total");
     cached_counter!(misses, "mls_suite_cache_misses_total");

@@ -15,7 +15,7 @@
 //! |------|-----------|
 //! | D001 | no `HashMap`/`HashSet` in serialization paths (order → bytes) |
 //! | D002 | wall-clock reads only in `mls-obs`/`mls-bench` or obs-gated |
-//! | D003 | `thread::spawn` only in `MissionExecutor` |
+//! | D003 | `thread::spawn`, `thread::Builder`, `thread::scope` only in `MissionExecutor` |
 //! | D004 | no unseeded entropy anywhere (OS RNG, `RandomState`) |
 //! | D005 | no text-formatted floats in wire paths (`to_bits` only) |
 //! | D006 | retired with the campaign fabric; the ID stays unused |

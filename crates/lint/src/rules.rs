@@ -8,8 +8,6 @@
 //! *check* only covers shipped paths. `docs/LINT.md` is the rule catalog
 //! with the rationale for each rule and the exact allow grammar.
 
-use std::collections::BTreeMap;
-
 use crate::lexer::{lex, number_is_float, Token, TokenKind};
 use crate::report::{Finding, Suppressed};
 
@@ -31,7 +29,7 @@ pub struct FileClass {
     /// D005 applies: wire/frame encoders, where floats must cross as
     /// `to_bits` and never as formatted text.
     pub wire: bool,
-    /// D003 *exempt*: the `MissionExecutor` pool — the only sanctioned
+    /// D003 *exempt*: the `MissionExecutor` — the only sanctioned
     /// thread-spawn site.
     pub spawn_sanctioned: bool,
     /// D002 *exempt*: `mls-obs` (the clock belongs to observability) and
@@ -385,13 +383,22 @@ pub fn check_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Ve
                             );
                         }
                     }
-                    "thread" if !class.spawn_sanctioned && path_call("spawn") => emit(
-                        "D003",
-                        line,
-                        "thread::spawn outside MissionExecutor: ad-hoc threads break \
-                         the deterministic scheduling argument"
-                            .into(),
-                    ),
+                    "thread" if !class.spawn_sanctioned => {
+                        // Every std form that starts a thread, including
+                        // `thread::Builder::new().spawn(..)`.
+                        for form in ["spawn", "Builder", "scope"] {
+                            if path_call(form) {
+                                emit(
+                                    "D003",
+                                    line,
+                                    format!(
+                                        "thread::{form} outside MissionExecutor: ad-hoc \
+                                         threads break the deterministic scheduling argument"
+                                    ),
+                                );
+                            }
+                        }
+                    }
                     "OsRng" | "ThreadRng" | "thread_rng" | "from_entropy" | "getrandom"
                     | "RandomState" => emit(
                         "D004",
@@ -517,15 +524,6 @@ pub fn check_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Ve
     (findings, suppressed)
 }
 
-/// Per-rule finding counts, for the report summary.
-pub fn count_by_rule(findings: &[Finding]) -> BTreeMap<String, usize> {
-    let mut by_rule = BTreeMap::new();
-    for f in findings {
-        *by_rule.entry(f.rule.clone()).or_insert(0) += 1;
-    }
-    by_rule
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,10 +565,23 @@ mod tests {
 
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
-        let src = "#[cfg(not(test))]\nmod ship { fn f() { std::thread::spawn(|| ()); } }\n";
-        let (findings, _) = check_source("x.rs", src, FileClass::default());
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "D003");
+        for spawn in [
+            "std::thread::spawn(|| ())",
+            "std::thread::Builder::new().spawn(|| ()).unwrap()",
+            "std::thread::scope(|scope| { scope.spawn(|| ()); })",
+        ] {
+            let src = format!("#[cfg(not(test))]\nmod ship {{ fn f() {{ {spawn}; }} }}\n");
+            let (findings, _) = check_source("x.rs", &src, FileClass::default());
+            assert_eq!(findings.len(), 1, "{spawn}: {findings:?}");
+            assert_eq!(findings[0].rule, "D003");
+            // The executor is the one file allowed to start threads.
+            let sanctioned = FileClass {
+                spawn_sanctioned: true,
+                ..FileClass::default()
+            };
+            let (findings, _) = check_source("x.rs", &src, sanctioned);
+            assert!(findings.is_empty(), "{spawn}: {findings:?}");
+        }
     }
 
     #[test]
@@ -607,12 +618,20 @@ mod tests {
 
     #[test]
     fn allows_suppress_and_go_stale() {
-        let good = "// mls-lint: allow(D003): test harness thread, joined before asserts\n\
-                    fn f() { std::thread::spawn(|| ()); }\n";
-        let (findings, suppressed) = check_source("x.rs", good, FileClass::default());
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(suppressed.len(), 1);
-        assert_eq!(suppressed[0].rule, "D003");
+        for spawn in [
+            "std::thread::spawn(|| ())",
+            "std::thread::Builder::new().spawn(|| ())",
+            "std::thread::scope(|_| ())",
+        ] {
+            let good = format!(
+                "// mls-lint: allow(D003): test harness thread, joined before asserts\n\
+                 fn f() {{ {spawn}; }}\n"
+            );
+            let (findings, suppressed) = check_source("x.rs", &good, FileClass::default());
+            assert!(findings.is_empty(), "{spawn}: {findings:?}");
+            assert_eq!(suppressed.len(), 1);
+            assert_eq!(suppressed[0].rule, "D003");
+        }
 
         let stale = "// mls-lint: allow(D003): nothing here anymore\nfn f() {}\n";
         let (findings, _) = check_source("x.rs", stale, FileClass::default());

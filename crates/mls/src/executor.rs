@@ -27,15 +27,7 @@ use crate::MlsError;
 /// Cached obs instruments: registry lookups take a mutex, so the mission
 /// loop resolves each histogram once per process through a `OnceLock`.
 mod instruments {
-    macro_rules! cached_seconds_histogram {
-        ($fn_name:ident, $metric:literal) => {
-            pub fn $fn_name() -> &'static std::sync::Arc<mls_obs::Histogram> {
-                static CELL: std::sync::OnceLock<std::sync::Arc<mls_obs::Histogram>> =
-                    std::sync::OnceLock::new();
-                CELL.get_or_init(|| mls_obs::histogram($metric, mls_obs::SECONDS_BUCKETS))
-            }
-        };
-    }
+    use mls_obs::cached_seconds_histogram;
 
     cached_seconds_histogram!(control_seconds, "mls_phase_control_seconds");
     cached_seconds_histogram!(mapping_seconds, "mls_phase_mapping_seconds");

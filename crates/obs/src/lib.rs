@@ -142,6 +142,41 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
     Registry::global().histogram(name, bounds)
 }
 
+/// Defines `pub fn $fn_name() -> &'static Arc<Counter>` bound to the
+/// counter `$metric`, resolved once per process through a `OnceLock` —
+/// the cached form of [`counter`] for hot call sites.
+///
+/// ```
+/// mls_obs::cached_counter!(flown, "mls_doc_missions_flown_total");
+/// flown().inc();
+/// assert_eq!(flown().value(), 1);
+/// ```
+#[macro_export]
+macro_rules! cached_counter {
+    ($fn_name:ident, $metric:literal) => {
+        pub fn $fn_name() -> &'static ::std::sync::Arc<$crate::Counter> {
+            static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
+                ::std::sync::OnceLock::new();
+            CELL.get_or_init(|| $crate::counter($metric))
+        }
+    };
+}
+
+/// Defines `pub fn $fn_name() -> &'static Arc<Histogram>` bound to the
+/// histogram `$metric` with [`SECONDS_BUCKETS`], resolved once per process
+/// through a `OnceLock` — the cached form of [`histogram`] for hot call
+/// sites.
+#[macro_export]
+macro_rules! cached_seconds_histogram {
+    ($fn_name:ident, $metric:literal) => {
+        pub fn $fn_name() -> &'static ::std::sync::Arc<$crate::Histogram> {
+            static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+                ::std::sync::OnceLock::new();
+            CELL.get_or_init(|| $crate::histogram($metric, $crate::SECONDS_BUCKETS))
+        }
+    };
+}
+
 /// Opens a span named `name` (must be a valid metric-name fragment,
 /// `snake_case`); inert when observability is off. The guard times the
 /// region into `mls_span_<name>_seconds` and emits a `span` event on drop.

@@ -133,11 +133,6 @@ impl Autopilot {
         self.ekf.position()
     }
 
-    /// Estimated velocity (EKF output).
-    pub fn estimated_velocity(&self) -> Vec3 {
-        self.ekf.velocity()
-    }
-
     /// Estimated pose: EKF position combined with the attitude solution.
     pub fn estimated_pose(&self) -> Pose {
         Pose::new(self.ekf.position(), self.attitude)

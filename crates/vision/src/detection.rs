@@ -180,11 +180,6 @@ impl MarkerObservation {
             detection: detection.clone(),
         })
     }
-
-    /// Horizontal distance between this observation and another world point.
-    pub fn horizontal_error_to(&self, truth: Vec3) -> f64 {
-        self.world_position.horizontal_distance(truth)
-    }
 }
 
 /// Orders a raw set of four corner points counter-clockwise (in image
