@@ -4,9 +4,10 @@
 //! benchmark, prints the per-cell grid, then falsifies MLS-V1 over the
 //! occlusion × GPS-bias fault space and minimizes the counterexample.
 //!
-//! Run with `cargo run --release --example fault_campaign`. Set
-//! `MLS_THREADS` to bound the worker pool and `MLS_FULL=1` to fly the
-//! paper-scale fault study instead of the smoke grid.
+//! Run with `cargo run --release -p mls-campaign --example fault_campaign`.
+//! Set `MLS_THREADS` to cap the mission threads each batch runs on and
+//! `MLS_FULL=1` to fly the paper-scale fault study instead of the smoke
+//! grid.
 
 use mls_campaign::{
     CampaignRunner, CampaignSpec, FalsificationConfig, FalsificationSearch, FaultAxis, FaultKind,

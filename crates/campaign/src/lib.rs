@@ -216,6 +216,28 @@ impl From<mls_trace::TraceError> for CampaignError {
 mod tests {
     use super::*;
 
+    /// Removes each top-level key of `value` in turn and asserts that
+    /// `parse` rejects the result with an error naming the key.
+    pub(crate) fn assert_every_key_is_required<T, E: fmt::Display>(
+        value: &serde::Value,
+        parse: impl Fn(&str) -> Result<T, E>,
+    ) {
+        let serde::Value::Object(fields) = value else {
+            panic!("expected a JSON object");
+        };
+        for (key, _) in fields {
+            let stripped = fields.iter().filter(|(k, _)| k != key).cloned().collect();
+            let json = serde_json::to_string(&serde::Value::Object(stripped)).unwrap();
+            match parse(&json) {
+                Ok(_) => panic!("parsed without `{key}`"),
+                Err(err) => assert!(
+                    err.to_string().contains(&format!("missing field `{key}`")),
+                    "without `{key}`: {err}"
+                ),
+            }
+        }
+    }
+
     #[test]
     fn errors_display_and_source() {
         let err = CampaignError::InvalidSpec {

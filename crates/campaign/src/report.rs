@@ -79,13 +79,7 @@ pub struct EarlyStopSummary {
 }
 
 /// Aggregates for one (family, variant, profile, fault point) cell.
-///
-/// `Deserialize` is implemented by hand so report JSONs persisted before
-/// multi-fault cells existed (a scalar `fault` key instead of the `faults`
-/// list), before scenario families (no `family` key) or before early
-/// stopping (no `early_stop` key) still parse — the vendored serde has no
-/// `#[serde(default)]`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReport {
     /// Cell position in the campaign grid.
     pub index: usize,
@@ -130,51 +124,6 @@ pub struct CellReport {
     pub early_stop: Option<EarlyStopSummary>,
 }
 
-impl serde::Deserialize for CellReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            index: serde::de_field(value, "index")?,
-            // Reports persisted before scenario families were all open.
-            family: match value.get("family") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => ScenarioFamily::Open,
-            },
-            variant: serde::de_field(value, "variant")?,
-            profile: serde::de_field(value, "profile")?,
-            // Reports predating multi-fault cells carry a scalar
-            // `fault: Option<FaultPlan>` instead of the `faults` list.
-            faults: match value.get("faults") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => match value.get("fault") {
-                    Some(inner) => {
-                        let legacy: Option<FaultPlan> = serde::Deserialize::from_value(inner)?;
-                        legacy.into_iter().collect()
-                    }
-                    None => Vec::new(),
-                },
-            },
-            missions: serde::de_field(value, "missions")?,
-            success_rate: serde::de_field(value, "success_rate")?,
-            collision_rate: serde::de_field(value, "collision_rate")?,
-            poor_landing_rate: serde::de_field(value, "poor_landing_rate")?,
-            failsafe_rate: serde::de_field(value, "failsafe_rate")?,
-            false_negative_rate: serde::de_field(value, "false_negative_rate")?,
-            landing_error: serde::de_field(value, "landing_error")?,
-            detection_error: serde::de_field(value, "detection_error")?,
-            duration: serde::de_field(value, "duration")?,
-            mean_cpu: serde::de_field(value, "mean_cpu")?,
-            peak_memory_mb: serde::de_field(value, "peak_memory_mb")?,
-            worst_planning_latency: serde::de_field(value, "worst_planning_latency")?,
-            gps_drift: serde::de_field(value, "gps_drift")?,
-            // Reports predating early stopping flew every mission.
-            early_stop: match value.get("early_stop") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => None,
-            },
-        })
-    }
-}
-
 impl CellReport {
     /// Stable row label (`MLS-V3/desktop-sil/gps-bias@0.500`, multi-fault
     /// plans joined with `+`, non-open families prefixed).
@@ -215,11 +164,7 @@ pub struct TraceLink {
 }
 
 /// A complete campaign result.
-///
-/// `Deserialize` is implemented by hand so report JSONs persisted before
-/// the trace subsystem existed (no `traces` key) still parse with an empty
-/// trace list — the vendored serde has no `#[serde(default)]`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignReport {
     /// Campaign name, copied from the spec.
     pub name: String,
@@ -232,22 +177,6 @@ pub struct CampaignReport {
     /// Persisted mission traces, in grid order (empty when the spec's
     /// capture policy is `Off`).
     pub traces: Vec<TraceLink>,
-}
-
-impl serde::Deserialize for CampaignReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            name: serde::de_field(value, "name")?,
-            seed: serde::de_field(value, "seed")?,
-            missions: serde::de_field(value, "missions")?,
-            cells: serde::de_field(value, "cells")?,
-            // Reports predating the trace subsystem have no traces key.
-            traces: match value.get("traces") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 impl CampaignReport {
@@ -452,62 +381,28 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_the_report() {
-        let report = report();
-        let json = report.to_json().unwrap();
-        let parsed = CampaignReport::from_json(&json).unwrap();
-        assert_eq!(report, parsed);
-    }
-
-    #[test]
-    fn reports_without_a_traces_key_parse_with_an_empty_list() {
-        let json = report().to_json().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("report serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "traces");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignReport::from_json(&legacy).unwrap();
-        assert!(parsed.traces.is_empty());
-        assert_eq!(parsed.cells.len(), 2);
-    }
-
-    #[test]
-    fn legacy_cells_with_a_scalar_fault_key_still_parse() {
-        // A report cell persisted before multi-fault cells existed: the
-        // `faults` list replaced a scalar `fault: Option<FaultPlan>`.
-        let json = report().to_json().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("report serialises to an object");
-        };
-        for (key, value) in &mut fields {
-            if key != "cells" {
-                continue;
-            }
-            let serde::Value::Array(cells) = value else {
-                panic!("cells serialise to an array");
-            };
-            for cell in cells {
-                let serde::Value::Object(cell_fields) = cell else {
-                    panic!("a cell serialises to an object");
-                };
-                for (cell_key, cell_value) in cell_fields.iter_mut() {
-                    if cell_key == "faults" {
-                        let serde::Value::Array(plans) = &*cell_value else {
-                            panic!("faults serialise to an array");
-                        };
-                        *cell_key = "fault".to_string();
-                        *cell_value = plans.first().cloned().unwrap_or(serde::Value::Null);
-                    }
-                }
-            }
+        let mut early_stopped = report();
+        early_stopped.cells[1].early_stop = Some(EarlyStopSummary {
+            planned: 8,
+            flown: 3,
+            verdict: false,
+            threshold: 0.75,
+        });
+        for report in [report(), early_stopped] {
+            let json = report.to_json().unwrap();
+            let parsed = CampaignReport::from_json(&json).unwrap();
+            assert_eq!(report, parsed);
         }
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignReport::from_json(&legacy).unwrap();
-        assert!(parsed.cells[0].faults.is_empty());
-        assert_eq!(
-            parsed.cells[1].faults,
-            vec![FaultPlan::new(FaultKind::GpsBias, 0.5)]
-        );
+    }
+
+    #[test]
+    fn every_report_and_cell_key_is_required() {
+        let value = serde_json::parse(&report().to_json().unwrap()).unwrap();
+        crate::tests::assert_every_key_is_required(&value, CampaignReport::from_json);
+        let Some(serde::Value::Array(cells)) = value.get("cells") else {
+            panic!("cells serialise to an array");
+        };
+        crate::tests::assert_every_key_is_required(&cells[1], serde_json::from_str::<CellReport>);
     }
 
     #[test]
@@ -635,67 +530,6 @@ mod tests {
         // The CSV carries the family column.
         let row = parse_csv_record(report.to_csv().lines().nth(2).unwrap());
         assert_eq!(row[1], "constrained-pad");
-    }
-
-    #[test]
-    fn legacy_cells_without_a_family_key_parse_as_open() {
-        let json = report().to_json().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("report serialises to an object");
-        };
-        for (key, value) in &mut fields {
-            if key != "cells" {
-                continue;
-            }
-            let serde::Value::Array(cells) = value else {
-                panic!("cells serialise to an array");
-            };
-            for cell in cells {
-                let serde::Value::Object(cell_fields) = cell else {
-                    panic!("a cell serialises to an object");
-                };
-                cell_fields.retain(|(cell_key, _)| cell_key != "family");
-            }
-        }
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignReport::from_json(&legacy).unwrap();
-        assert!(parsed
-            .cells
-            .iter()
-            .all(|c| c.family == ScenarioFamily::Open));
-    }
-
-    #[test]
-    fn legacy_cells_without_an_early_stop_key_parse_as_none() {
-        let mut report = report();
-        report.cells[1].early_stop = Some(EarlyStopSummary {
-            planned: 8,
-            flown: 3,
-            verdict: false,
-            threshold: 0.75,
-        });
-        let json = report.to_json().unwrap();
-        assert_eq!(CampaignReport::from_json(&json).unwrap(), report);
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("report serialises to an object");
-        };
-        for (key, value) in &mut fields {
-            if key != "cells" {
-                continue;
-            }
-            let serde::Value::Array(cells) = value else {
-                panic!("cells serialise to an array");
-            };
-            for cell in cells {
-                let serde::Value::Object(cell_fields) = cell else {
-                    panic!("a cell serialises to an object");
-                };
-                cell_fields.retain(|(cell_key, _)| cell_key != "early_stop");
-            }
-        }
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignReport::from_json(&legacy).unwrap();
-        assert!(parsed.cells.iter().all(|c| c.early_stop.is_none()));
     }
 
     #[test]

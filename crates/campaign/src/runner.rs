@@ -824,7 +824,7 @@ impl CampaignRunner {
     }
 
     /// Generates (or fetches from the suite cache) the benchmark scenario
-    /// suite of the spec's *first* family (the only family for pre-family
+    /// suite of the spec's *first* family (the only family of single-family
     /// specs and the falsification probes).
     ///
     /// # Errors

@@ -228,12 +228,7 @@ pub struct Counterexample {
 }
 
 /// The outcome of falsifying one (variant, fault space) pair.
-///
-/// `Deserialize` is implemented by hand so result JSONs persisted before
-/// scenario families existed (no `family` key) or before mission
-/// accounting (no `missions_flown` key) still parse — the vendored serde
-/// has no `#[serde(default)]`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpaceFalsification {
     /// The fault space searched.
     pub space: FaultSpace,
@@ -255,29 +250,6 @@ pub struct SpaceFalsification {
     /// capture and replay verification) — the wall-clock currency early
     /// stopping saves.
     pub missions_flown: usize,
-}
-
-impl serde::Deserialize for SpaceFalsification {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            space: serde::de_field(value, "space")?,
-            variant: serde::de_field(value, "variant")?,
-            // Results persisted before scenario families searched open pads.
-            family: match value.get("family") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => mls_sim_world::ScenarioFamily::Open,
-            },
-            searcher: serde::de_field(value, "searcher")?,
-            baseline_success_rate: serde::de_field(value, "baseline_success_rate")?,
-            counterexample: serde::de_field(value, "counterexample")?,
-            probes: serde::de_field(value, "probes")?,
-            // Results persisted before mission accounting carry no count.
-            missions_flown: match value.get("missions_flown") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => 0,
-            },
-        })
-    }
 }
 
 /// A complete falsification study over several (variant, space) pairs.
@@ -1537,7 +1509,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_results_without_mission_accounting_parse_as_zero() {
+    fn every_result_key_is_required() {
         let result = SpaceFalsification {
             space: FaultSpace::new("s", vec![FaultAxis::full(FaultKind::WindGust)]),
             variant: SystemVariant::MlsV1,
@@ -1548,14 +1520,10 @@ mod tests {
             probes: Vec::new(),
             missions_flown: 9,
         };
-        let json = serde_json::to_string(&result).unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("results serialise to objects");
-        };
-        fields.retain(|(key, _)| key != "missions_flown");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed: SpaceFalsification = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.missions_flown, 0);
-        assert_eq!(parsed.space, result.space);
+        let value = serde_json::parse(&serde_json::to_string(&result).unwrap()).unwrap();
+        crate::tests::assert_every_key_is_required(
+            &value,
+            serde_json::from_str::<SpaceFalsification>,
+        );
     }
 }

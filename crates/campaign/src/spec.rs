@@ -113,12 +113,7 @@ impl EarlyStopPolicy {
 }
 
 /// A declarative fault-injection campaign.
-///
-/// `Deserialize` is implemented by hand so spec JSONs written before the
-/// trace subsystem (no `capture` key), the falsification subsystem (no
-/// `combos` key) or scenario families (no `families` key) still parse with
-/// the old semantics — the vendored serde has no `#[serde(default)]`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Campaign name, embedded in reports.
     pub name: String,
@@ -163,51 +158,9 @@ pub struct CampaignSpec {
     pub probe_early_stop: Option<EarlyStopPolicy>,
 }
 
-impl serde::Deserialize for CampaignSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            name: serde::de_field(value, "name")?,
-            seed: serde::de_field(value, "seed")?,
-            maps: serde::de_field(value, "maps")?,
-            scenarios_per_map: serde::de_field(value, "scenarios_per_map")?,
-            // Specs predating scenario families swept the open suite only.
-            families: match value.get("families") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => vec![ScenarioFamily::Open],
-            },
-            repeats: serde::de_field(value, "repeats")?,
-            variants: serde::de_field(value, "variants")?,
-            profiles: serde::de_field(value, "profiles")?,
-            baseline: serde::de_field(value, "baseline")?,
-            faults: serde::de_field(value, "faults")?,
-            // Specs predating the falsification subsystem have no combos.
-            combos: match value.get("combos") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => Vec::new(),
-            },
-            landing: serde::de_field(value, "landing")?,
-            executor: serde::de_field(value, "executor")?,
-            // Specs predating the trace subsystem have no capture key.
-            capture: match value.get("capture") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => TracePolicy::Off,
-            },
-            // Specs predating batched probe evaluation flew every mission.
-            probe_early_stop: match value.get("probe_early_stop") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => None,
-            },
-        })
-    }
-}
-
 /// One cell of the campaign grid: a (family, variant, profile, fault point)
 /// combination flown over the family's scenario suite.
-///
-/// `Deserialize` is implemented by hand so cells persisted before scenario
-/// families existed (no `family` / `suite_index` keys) still parse as open
-/// cells — the vendored serde has no `#[serde(default)]`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignCell {
     /// Position of the cell in the expanded grid.
     pub index: usize,
@@ -226,27 +179,6 @@ pub struct CampaignCell {
     /// empty for the baseline cell, one entry for a classic single-fault
     /// sweep cell, several for a multi-dimensional fault-space point.
     pub faults: Vec<FaultPlan>,
-}
-
-impl serde::Deserialize for CampaignCell {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            index: serde::de_field(value, "index")?,
-            // Cells persisted before scenario families were all open.
-            family: match value.get("family") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => ScenarioFamily::Open,
-            },
-            suite_index: match value.get("suite_index") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => 0,
-            },
-            variant: serde::de_field(value, "variant")?,
-            profile_index: serde::de_field(value, "profile_index")?,
-            profile: serde::de_field(value, "profile")?,
-            faults: serde::de_field(value, "faults")?,
-        })
-    }
 }
 
 impl CampaignCell {
@@ -575,20 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn specs_without_a_combos_key_parse_with_no_combos() {
-        let spec = CampaignSpec::smoke();
-        let json = spec.to_json().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("spec serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "combos");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignSpec::from_json(&legacy).unwrap();
-        assert!(parsed.combos.is_empty());
-        assert_eq!(parsed.faults, spec.faults);
-    }
-
-    #[test]
     fn validation_rejects_empty_grids() {
         let mut spec = CampaignSpec::smoke();
         spec.variants.clear();
@@ -627,41 +545,21 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_json() {
-        let spec = CampaignSpec::smoke();
-        let json = spec.to_json().unwrap();
-        let parsed = CampaignSpec::from_json(&json).unwrap();
-        assert_eq!(spec, parsed);
+        let early_stopped = CampaignSpec {
+            probe_early_stop: Some(EarlyStopPolicy::exact(0.75)),
+            ..CampaignSpec::smoke()
+        };
+        for spec in [CampaignSpec::smoke(), early_stopped] {
+            let json = spec.to_json().unwrap();
+            let parsed = CampaignSpec::from_json(&json).unwrap();
+            assert_eq!(spec, parsed);
+        }
     }
 
     #[test]
-    fn specs_without_a_capture_key_parse_with_capture_off() {
-        let mut spec = CampaignSpec::smoke();
-        spec.capture = TracePolicy::All;
-        // Strip the capture key, as any spec JSON written before the trace
-        // subsystem would lack it.
-        let json = spec.to_json().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("spec serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "capture");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignSpec::from_json(&legacy).unwrap();
-        assert_eq!(parsed.capture, TracePolicy::Off);
-        assert_eq!(parsed.maps, spec.maps);
-    }
-
-    #[test]
-    fn specs_without_a_families_key_parse_as_open_only() {
-        let spec = CampaignSpec::smoke();
-        let json = spec.to_json().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("spec serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "families");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignSpec::from_json(&legacy).unwrap();
-        assert_eq!(parsed.families, vec![ScenarioFamily::Open]);
-        assert_eq!(parsed.cells().len(), spec.cells().len());
+    fn every_spec_key_is_required() {
+        let value = serde_json::parse(&CampaignSpec::smoke().to_json().unwrap()).unwrap();
+        crate::tests::assert_every_key_is_required(&value, CampaignSpec::from_json);
     }
 
     #[test]
@@ -715,21 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_cell_json_without_family_parses_as_open() {
-        let cell = CampaignSpec::smoke().cells().remove(1);
-        let json = serde_json::to_string(&cell).unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("cell serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "family" && key != "suite_index");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed: CampaignCell = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.family, ScenarioFamily::Open);
-        assert_eq!(parsed.suite_index, 0);
-        assert_eq!(parsed, cell);
-    }
-
-    #[test]
     fn early_stop_exact_bound_decides_only_when_certain() {
         let policy = EarlyStopPolicy::exact(0.75);
         // 8 planned: two failures keep the bracket open, three close it.
@@ -778,21 +661,6 @@ mod tests {
         assert!(spec.validate().is_err());
         spec.probe_early_stop = Some(EarlyStopPolicy::exact(0.75));
         spec.validate().unwrap();
-    }
-
-    #[test]
-    fn specs_without_an_early_stop_key_parse_with_none() {
-        let mut spec = CampaignSpec::smoke();
-        spec.probe_early_stop = Some(EarlyStopPolicy::exact(0.75));
-        let json = spec.to_json().unwrap();
-        assert_eq!(CampaignSpec::from_json(&json).unwrap(), spec);
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("spec serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "probe_early_stop");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed = CampaignSpec::from_json(&legacy).unwrap();
-        assert_eq!(parsed.probe_early_stop, None);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! pipeline: multi-fault (combo) cells fly deterministically, captured
 //! traces carry their fault-space coordinates and replay byte-identically,
 //! and the search → minimize → capture chain produces a triaged, replayable
-//! counterexample.
+//! counterexample. The flown report and the searched result both read back
+//! and re-serialise byte for byte.
 //!
 //! Traces land under `target/test-traces/` so CI can upload them as a
 //! workflow artifact for post-mortem inspection.
@@ -10,8 +11,9 @@
 use std::path::PathBuf;
 
 use mls_campaign::{
-    CampaignRunner, CampaignSpec, FalsificationConfig, FalsificationSearch, FaultAxis, FaultKind,
-    FaultPlan, FaultSpace, GridRefinementConfig, Searcher, TracePolicy,
+    CampaignReport, CampaignRunner, CampaignSpec, FalsificationConfig, FalsificationReport,
+    FalsificationSearch, FaultAxis, FaultKind, FaultPlan, FaultSpace, GridRefinementConfig,
+    Searcher, TracePolicy,
 };
 use mls_core::SystemVariant;
 use mls_trace::Trace;
@@ -77,6 +79,12 @@ fn multi_fault_cells_stamp_coordinates_and_replay_byte_identically() {
     let recorded = Trace::read_from(std::path::Path::new(&report.traces[0].path)).unwrap();
     let verdict = runner.replay(&spec, &scenarios, &recorded).unwrap();
     assert!(verdict.is_identical(), "combo replay diverged: {verdict}");
+
+    // The flown report (multi-fault cells, trace links) reads back and
+    // re-serialises byte for byte.
+    let json = report.to_json().unwrap();
+    let parsed = CampaignReport::from_json(&json).unwrap();
+    assert_eq!(parsed.to_json().unwrap(), json);
 }
 
 #[test]
@@ -164,4 +172,14 @@ fn falsification_searches_minimizes_and_ships_a_replayable_counterexample() {
         assert_eq!(coordinate.axis, plan.kind.label());
         assert!((coordinate.value - plan.intensity).abs() < 1e-12);
     }
+
+    // The searched result (counterexample, trace link, triage) reads back
+    // and re-serialises byte for byte.
+    let json = FalsificationReport {
+        results: vec![result],
+    }
+    .to_json()
+    .unwrap();
+    let parsed = FalsificationReport::from_json(&json).unwrap();
+    assert_eq!(parsed.to_json().unwrap(), json);
 }

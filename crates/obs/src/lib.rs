@@ -52,7 +52,7 @@ use std::sync::{Arc, OnceLock};
 pub use artifact::atomic_write;
 pub use config::{ObsConfig, DEFAULT_DIR};
 pub use progress::Progress;
-pub use registry::{Counter, Gauge, Histogram, Registry, SECONDS_BUCKETS};
+pub use registry::{Counter, Histogram, Registry, SECONDS_BUCKETS};
 pub use sink::{artifact_name, json_escape, json_f64, EventLog, JsonObject, SCHEMA};
 pub use span::{FieldValue, Span};
 
@@ -129,11 +129,6 @@ pub fn progress_enabled() -> bool {
 /// cache the returned [`Arc`] in a `OnceLock` — the lookup takes a mutex.
 pub fn counter(name: &str) -> Arc<Counter> {
     Registry::global().counter(name)
-}
-
-/// The gauge named `name` in the global registry.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    Registry::global().gauge(name)
 }
 
 /// The histogram named `name` in the global registry (bounds fixed on
@@ -295,8 +290,6 @@ mod tests {
         pin_disabled();
         counter("mls_unit_total").add(2);
         assert_eq!(counter("mls_unit_total").value(), 2);
-        gauge("mls_unit_gauge").set(1.5);
-        assert_eq!(gauge("mls_unit_gauge").value(), 1.5);
         histogram("mls_unit_seconds", SECONDS_BUCKETS).observe(0.01);
         assert_eq!(histogram("mls_unit_seconds", SECONDS_BUCKETS).count(), 1);
     }

@@ -1,5 +1,5 @@
-//! The process-wide metrics registry: counters, gauges and fixed-bucket
-//! histograms cheap enough for the mission hot path.
+//! The process-wide metrics registry: counters and fixed-bucket histograms
+//! cheap enough for the mission hot path.
 //!
 //! Counters are *sharded*: each instrument holds a small array of
 //! cache-line-padded atomics and a writing thread picks its shard by a
@@ -70,30 +70,6 @@ impl Counter {
             .iter()
             .map(|shard| shard.0.load(Ordering::Relaxed))
             .sum()
-    }
-}
-
-/// A last-write-wins instantaneous value (stored as `f64` bits).
-#[derive(Debug)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The most recently set value.
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -179,7 +155,6 @@ pub const SECONDS_BUCKETS: &[f64] = &[
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -209,19 +184,6 @@ impl Registry {
         }
     }
 
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut gauges = self.gauges.lock().expect("obs registry poisoned");
-        match gauges.get(name) {
-            Some(gauge) => gauge.clone(),
-            None => {
-                let gauge = Arc::new(Gauge::new());
-                gauges.insert(name.to_string(), gauge.clone());
-                gauge
-            }
-        }
-    }
-
     /// The histogram named `name`, created with `bounds` on first use (a
     /// later registration with different bounds gets the original
     /// instrument — bounds are part of the name's identity, first wins).
@@ -244,10 +206,6 @@ impl Registry {
         for (name, counter) in self.counters.lock().expect("obs registry poisoned").iter() {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {}", counter.value());
-        }
-        for (name, gauge) in self.gauges.lock().expect("obs registry poisoned").iter() {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {}", format_value(gauge.value()));
         }
         for (name, histogram) in self
             .histograms
@@ -320,16 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_are_last_write_wins() {
-        let registry = Registry::new();
-        let gauge = registry.gauge("mls_depth");
-        assert_eq!(gauge.value(), 0.0);
-        gauge.set(3.5);
-        gauge.set(-1.25);
-        assert_eq!(gauge.value(), -1.25);
-    }
-
-    #[test]
     fn histogram_bucket_edges_are_le_semantics() {
         let registry = Registry::new();
         let histogram = registry.histogram("mls_lat_seconds", &[0.1, 1.0, 10.0]);
@@ -361,14 +309,12 @@ mod tests {
     fn exposition_renders_all_instrument_kinds() {
         let registry = Registry::new();
         registry.counter("mls_jobs_total").add(7);
-        registry.gauge("mls_queue_depth").set(2.0);
         let histogram = registry.histogram("mls_wall_seconds", &[0.5, 1.0]);
         histogram.observe(0.25);
         histogram.observe(2.0);
         let text = registry.exposition();
         assert!(text.contains("# TYPE mls_jobs_total counter"));
         assert!(text.contains("mls_jobs_total 7"));
-        assert!(text.contains("mls_queue_depth 2"));
         assert!(text.contains("mls_wall_seconds_bucket{le=\"0.5\"} 1"));
         assert!(text.contains("mls_wall_seconds_bucket{le=\"1\"} 1"));
         assert!(text.contains("mls_wall_seconds_bucket{le=\"+Inf\"} 2"));

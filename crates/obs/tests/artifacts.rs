@@ -48,7 +48,6 @@ fn jsonl_and_exposition_round_trip() {
     }
     // Some registry state for the exposition dump.
     mls_obs::counter("mls_unit_events_total").add(5);
-    mls_obs::gauge("mls_unit_depth").set(2.0);
     mls_obs::histogram("mls_unit_seconds", SECONDS_BUCKETS).observe(0.02);
 
     let paths = mls_obs::flush();
@@ -117,7 +116,6 @@ fn jsonl_and_exposition_round_trip() {
     // --- exposition dump ---
     let expo = std::fs::read_to_string(prom).expect("read exposition dump");
     assert!(expo.contains("mls_unit_events_total 5"));
-    assert!(expo.contains("mls_unit_depth 2"));
     assert!(expo.contains("mls_unit_seconds_count 1"));
     // Spans feed duration histograms automatically.
     assert!(expo.contains("mls_span_unit_outer_seconds_count 1"));

@@ -107,7 +107,7 @@ impl ScenarioFamily {
 }
 
 /// Parameters of benchmark scenario generation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// Pad-placement family of the suite (see [`ScenarioFamily`]).
     pub family: ScenarioFamily,
@@ -134,29 +134,6 @@ pub struct ScenarioConfig {
     pub map_config: MapGeneratorConfig,
 }
 
-impl serde::Deserialize for ScenarioConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            // Configs persisted before scenario families existed have no
-            // family key and described the open benchmark.
-            family: match value.get("family") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => ScenarioFamily::Open,
-            },
-            maps: serde::de_field(value, "maps")?,
-            scenarios_per_map: serde::de_field(value, "scenarios_per_map")?,
-            marker_size: serde::de_field(value, "marker_size")?,
-            target_distance: serde::de_field(value, "target_distance")?,
-            target_clear_radius: serde::de_field(value, "target_clear_radius")?,
-            gps_target_error: serde::de_field(value, "gps_target_error")?,
-            decoys: serde::de_field(value, "decoys")?,
-            decoy_radius: serde::de_field(value, "decoy_radius")?,
-            cruise_altitude: serde::de_field(value, "cruise_altitude")?,
-            map_config: serde::de_field(value, "map_config")?,
-        })
-    }
-}
-
 impl Default for ScenarioConfig {
     fn default() -> Self {
         Self {
@@ -176,7 +153,7 @@ impl Default for ScenarioConfig {
 }
 
 /// One benchmark scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Sequential scenario identifier within its benchmark.
     pub id: usize,
@@ -201,28 +178,6 @@ pub struct Scenario {
     pub marker_size: f64,
     /// Seed from which every stochastic element of the scenario derives.
     pub seed: u64,
-}
-
-impl serde::Deserialize for Scenario {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            id: serde::de_field(value, "id")?,
-            // Scenarios persisted before families existed were all open.
-            family: match value.get("family") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => ScenarioFamily::Open,
-            },
-            name: serde::de_field(value, "name")?,
-            map: serde::de_field(value, "map")?,
-            weather: serde::de_field(value, "weather")?,
-            start: serde::de_field(value, "start")?,
-            cruise_altitude: serde::de_field(value, "cruise_altitude")?,
-            gps_target: serde::de_field(value, "gps_target")?,
-            target_marker_id: serde::de_field(value, "target_marker_id")?,
-            marker_size: serde::de_field(value, "marker_size")?,
-            seed: serde::de_field(value, "seed")?,
-        })
-    }
 }
 
 impl Scenario {
@@ -778,33 +733,6 @@ mod tests {
                 s.name
             );
         }
-    }
-
-    #[test]
-    fn legacy_scenario_json_without_family_parses_as_open() {
-        let scenario = ScenarioGenerator::new(small_config())
-            .generate_benchmark(2)
-            .unwrap()
-            .remove(0);
-        let json = serde_json::to_string(&scenario).unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&json).unwrap() else {
-            panic!("scenario serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "family");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed: Scenario = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.family, ScenarioFamily::Open);
-        assert_eq!(parsed.id, scenario.id);
-
-        // The config falls back the same way.
-        let config_json = serde_json::to_string(&small_config()).unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(&config_json).unwrap() else {
-            panic!("config serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "family");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed: ScenarioConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.family, ScenarioFamily::Open);
     }
 
     #[test]

@@ -120,8 +120,8 @@ impl TraceCorpus {
     ///
     /// Returns [`TraceError::Serialize`] on malformed lines or a record
     /// count that disagrees with the header, and
-    /// [`TraceError::UnsupportedVersion`] when the index was written by a
-    /// newer format version.
+    /// [`TraceError::UnsupportedVersion`] when the index's format version
+    /// is not [`CORPUS_INDEX_VERSION`].
     pub fn from_jsonl(root: impl Into<PathBuf>, text: &str) -> Result<Self, TraceError> {
         let mut lines = text.lines().filter(|line| !line.trim().is_empty());
         let header_line = lines
@@ -129,7 +129,7 @@ impl TraceCorpus {
             .ok_or_else(|| TraceError::Serialize("empty corpus index".to_string()))?;
         let header: CorpusIndexHeader = serde_json::from_str(header_line)
             .map_err(|e| TraceError::Serialize(format!("corpus index header: {e}")))?;
-        if header.version > CORPUS_INDEX_VERSION {
+        if header.version != CORPUS_INDEX_VERSION {
             return Err(TraceError::UnsupportedVersion {
                 found: header.version,
                 supported: CORPUS_INDEX_VERSION,
@@ -510,11 +510,16 @@ mod tests {
             TraceCorpus::from_jsonl(&root, &truncated),
             Err(TraceError::Serialize(_))
         ));
-        let future = jsonl.replacen("\"version\":1", "\"version\":99", 1);
-        assert!(matches!(
-            TraceCorpus::from_jsonl(&root, &future),
-            Err(TraceError::UnsupportedVersion { .. })
-        ));
+        for version in ["99", "0"] {
+            let other = jsonl.replacen("\"version\":1", &format!("\"version\":{version}"), 1);
+            assert!(
+                matches!(
+                    TraceCorpus::from_jsonl(&root, &other),
+                    Err(TraceError::UnsupportedVersion { .. })
+                ),
+                "version {version}"
+            );
+        }
         assert!(TraceCorpus::from_jsonl(&root, "").is_err());
     }
 }

@@ -47,11 +47,7 @@ pub struct AxisCoordinate {
 }
 
 /// The versioned first line of every trace file.
-///
-/// `Deserialize` is implemented by hand so trace files written before the
-/// falsification subsystem existed (no `coordinates` key) still parse with
-/// an empty coordinate list — the vendored serde has no `#[serde(default)]`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceHeader {
     /// Trace-format version ([`TRACE_FORMAT_VERSION`]).
     pub version: u32,
@@ -66,7 +62,7 @@ pub struct TraceHeader {
     /// Scenario name.
     pub scenario_name: String,
     /// Scenario-family label the mission's suite was generated under
-    /// (`"open"` for the paper benchmark and for traces predating families).
+    /// (`"open"` for the paper benchmark).
     pub family: String,
     /// Campaign-grid cell index (0 outside a campaign).
     pub cell_index: usize,
@@ -83,40 +79,8 @@ pub struct TraceHeader {
     /// Events the ring buffer evicted (0 when nothing was lost).
     pub dropped_events: u64,
     /// The fault-space point the mission flew: one coordinate per injected
-    /// fault plan, in activation order (empty for fault-free missions and
-    /// traces predating the falsification subsystem).
+    /// fault plan, in activation order (empty for fault-free missions).
     pub coordinates: Vec<AxisCoordinate>,
-}
-
-impl serde::Deserialize for TraceHeader {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            version: serde::de_field(value, "version")?,
-            campaign: serde::de_field(value, "campaign")?,
-            seed: serde::de_field(value, "seed")?,
-            variant: serde::de_field(value, "variant")?,
-            scenario_id: serde::de_field(value, "scenario_id")?,
-            scenario_name: serde::de_field(value, "scenario_name")?,
-            // Headers predating scenario families belong to the open suite.
-            family: match value.get("family") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => "open".to_string(),
-            },
-            cell_index: serde::de_field(value, "cell_index")?,
-            repeat: serde::de_field(value, "repeat")?,
-            config_hash: serde::de_field(value, "config_hash")?,
-            tick_decimation: serde::de_field(value, "tick_decimation")?,
-            map_decimation: serde::de_field(value, "map_decimation")?,
-            capacity: serde::de_field(value, "capacity")?,
-            dropped_events: serde::de_field(value, "dropped_events")?,
-            // Headers predating the falsification subsystem have no
-            // coordinates key.
-            coordinates: match value.get("coordinates") {
-                Some(inner) => serde::Deserialize::from_value(inner)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 /// A complete captured trace: header plus the surviving event stream.
@@ -168,7 +132,7 @@ impl Trace {
     ///
     /// Returns [`TraceError::Serialize`] on malformed lines and
     /// [`TraceError::UnsupportedVersion`] when the header's format version
-    /// is newer than this library.
+    /// is not [`TRACE_FORMAT_VERSION`].
     pub fn from_jsonl(text: &str) -> Result<Self, TraceError> {
         let mut lines = text.lines().filter(|line| !line.trim().is_empty());
         let header_line = lines
@@ -176,7 +140,7 @@ impl Trace {
             .ok_or_else(|| TraceError::Serialize("empty trace".to_string()))?;
         let header: TraceHeader = serde_json::from_str(header_line)
             .map_err(|e| TraceError::Serialize(format!("header: {e}")))?;
-        if header.version > TRACE_FORMAT_VERSION {
+        if header.version != TRACE_FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion {
                 found: header.version,
                 supported: TRACE_FORMAT_VERSION,
@@ -287,13 +251,18 @@ mod tests {
 
     #[test]
     fn newer_versions_are_rejected() {
-        let mut trace = trace();
-        trace.header.version = TRACE_FORMAT_VERSION + 1;
-        let text = trace.to_jsonl().unwrap();
-        assert!(matches!(
-            Trace::from_jsonl(&text),
-            Err(TraceError::UnsupportedVersion { .. })
-        ));
+        for version in [TRACE_FORMAT_VERSION + 1, 0] {
+            let mut trace = trace();
+            trace.header.version = version;
+            let text = trace.to_jsonl().unwrap();
+            assert!(
+                matches!(
+                    Trace::from_jsonl(&text),
+                    Err(TraceError::UnsupportedVersion { found, .. }) if found == version
+                ),
+                "version {version}"
+            );
+        }
     }
 
     #[test]
@@ -306,44 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn headers_without_a_coordinates_key_parse_with_an_empty_list() {
-        // A header JSON written before the falsification subsystem: same
-        // fields, no `coordinates` key.
-        let text = trace().to_jsonl().unwrap();
-        let header_line = text.lines().next().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(header_line).unwrap() else {
-            panic!("header serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "coordinates");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed: TraceHeader = serde_json::from_str(&legacy).unwrap();
-        assert!(parsed.coordinates.is_empty());
-        assert_eq!(parsed.seed, 42);
-    }
-
-    #[test]
-    fn headers_without_a_family_key_parse_as_open() {
-        // A header JSON written before scenario families existed.
-        let text = trace().to_jsonl().unwrap();
-        let header_line = text.lines().next().unwrap();
-        let serde::Value::Object(mut fields) = serde_json::parse(header_line).unwrap() else {
-            panic!("header serialises to an object");
-        };
-        fields.retain(|(key, _)| key != "family");
-        let legacy = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
-        let parsed: TraceHeader = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.family, "open");
-        assert_eq!(parsed.seed, 42);
-
-        // A stamped family round-trips.
-        let mut header = header();
-        header.family = "constrained-pad".to_string();
-        let json = serde_json::to_string(&header).unwrap();
-        let back: TraceHeader = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.family, "constrained-pad");
-    }
-
-    #[test]
     fn coordinates_round_trip_through_the_header() {
         let trace = trace();
         assert_eq!(trace.header.coordinates.len(), 1);
@@ -351,6 +282,41 @@ mod tests {
         let parsed = Trace::from_jsonl(&text).unwrap();
         assert_eq!(parsed.header.coordinates, trace.header.coordinates);
         assert_eq!(parsed.header.coordinates[0].axis, "gps-bias");
+
+        // A stamped non-open family round-trips too.
+        let mut header = header();
+        header.family = "constrained-pad".to_string();
+        let json = serde_json::to_string(&header).unwrap();
+        let back: TraceHeader = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, header);
+    }
+
+    /// Removes each top-level key of `value` in turn and asserts that
+    /// `parse` rejects the result with an error naming the key.
+    fn assert_every_key_is_required<T, E: std::fmt::Display>(
+        value: &serde::Value,
+        parse: impl Fn(&str) -> Result<T, E>,
+    ) {
+        let serde::Value::Object(fields) = value else {
+            panic!("expected a JSON object");
+        };
+        for (key, _) in fields {
+            let stripped = fields.iter().filter(|(k, _)| k != key).cloned().collect();
+            let json = serde_json::to_string(&serde::Value::Object(stripped)).unwrap();
+            match parse(&json) {
+                Ok(_) => panic!("parsed without `{key}`"),
+                Err(err) => assert!(
+                    err.to_string().contains(&format!("missing field `{key}`")),
+                    "without `{key}`: {err}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn every_header_key_is_required() {
+        let value = serde_json::parse(&serde_json::to_string(&header()).unwrap()).unwrap();
+        assert_every_key_is_required(&value, serde_json::from_str::<TraceHeader>);
     }
 
     #[test]

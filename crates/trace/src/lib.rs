@@ -97,11 +97,12 @@ pub enum TraceError {
     Serialize(String),
     /// A filesystem operation failed.
     Io(String),
-    /// The trace was written by a newer format version.
+    /// The trace or corpus index was written in a format version other
+    /// than the one this library reads.
     UnsupportedVersion {
         /// The version found in the header.
         found: u32,
-        /// The newest version this library reads.
+        /// The only version this library reads.
         supported: u32,
     },
 }
@@ -113,7 +114,7 @@ impl fmt::Display for TraceError {
             TraceError::Io(reason) => write!(f, "trace io failed: {reason}"),
             TraceError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "trace format version {found} is newer than the supported {supported}"
+                "trace format version {found} is not the supported version {supported}"
             ),
         }
     }
