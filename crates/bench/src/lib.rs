@@ -40,12 +40,8 @@ pub mod confusion;
 
 pub use confusion::{expected_class, ClassScore, MatrixRow, TriageMatrix};
 
+use mls_campaign::CampaignRunner;
 use mls_sim_world::{Scenario, ScenarioConfig, ScenarioGenerator};
-
-/// Upper bound on the worker-thread count accepted from `MLS_THREADS`; a
-/// typo like `MLS_THREADS=10000` would otherwise ask the OS for ten thousand
-/// stacks.
-pub const MAX_THREADS: usize = 512;
 
 /// Workload sizing for a harness run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +94,7 @@ impl HarnessOptions {
     ///
     /// Parsing is strict but forgiving in effect: unset, unparsable and `0`
     /// values all mean "keep the default", and the thread count is clamped
-    /// to [`MAX_THREADS`].
+    /// to [`CampaignRunner::MAX_THREADS`].
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let mut options = if lookup("MLS_QUICK").map(|v| v == "1").unwrap_or(false) {
             Self::quick()
@@ -116,7 +112,7 @@ impl HarnessOptions {
             options.repeats = v;
         }
         if let Some(v) = read("MLS_THREADS") {
-            options.threads = v.min(MAX_THREADS);
+            options.threads = v.min(CampaignRunner::MAX_THREADS);
         }
         if let Some(v) = seed_var(&lookup) {
             options.seed = v;
@@ -311,7 +307,7 @@ mod tests {
             ("MLS_THREADS", "1000000"),
             ("MLS_MAPS", " 7 "),
         ]));
-        assert_eq!(options.threads, MAX_THREADS);
+        assert_eq!(options.threads, CampaignRunner::MAX_THREADS);
         assert_eq!(options.maps, 7);
     }
 

@@ -28,11 +28,10 @@
 //! * [`runner`] — deterministic mission sweeps on that executor, through one
 //!   mission batch path shared by campaigns, probe generations and
 //!   resumes, with per-mission deterministic RNG streams, optional
-//!   early-stopped cells
-//!   ([`EarlyStopPolicy`]) and the streaming [`stats`] accumulators
-//!   (Welford mean/variance, P² percentiles) the per-cell aggregates are
-//!   built from. Reports are byte-identical for a given spec and seed
-//!   regardless of thread count, and
+//!   early-stopped cells ([`EarlyStopPolicy`]) and exact per-cell
+//!   statistics: each [`MetricSummary`] is computed from every record of
+//!   its cell, percentiles as order statistics. Reports are byte-identical
+//!   for a given spec and seed regardless of thread count, and
 //!   [`CampaignRunner::replay`](runner::CampaignRunner::replay) re-executes
 //!   any recorded trace and byte-compares the regenerated stream.
 //! * [`journal`] — the crash-safety layer: a versioned write-ahead result
@@ -121,7 +120,7 @@ pub mod report;
 pub mod runner;
 pub mod search;
 pub mod spec;
-pub mod stats;
+mod stats;
 pub mod suites;
 pub mod wire;
 
@@ -141,7 +140,6 @@ pub use search::{
     GridRefinementConfig, ProbePoint, SearchStage, Searcher, SpaceFalsification,
 };
 pub use spec::{fault_point_label, CampaignCell, CampaignSpec, EarlyStopPolicy};
-pub use stats::{MetricAccumulator, P2Quantile, Welford};
 pub use suites::{SuiteCache, SuiteKey};
 
 /// Errors produced by the campaign engine.

@@ -1,7 +1,7 @@
 //! Campaign reports: per-cell aggregates, JSON and CSV serialisation.
 //!
-//! A report is a deterministic function of (spec, seed): the runner feeds
-//! mission records into the streaming accumulators in global job order, so
+//! A report is a deterministic function of (spec, seed): the runner
+//! summarises each cell from its mission records in global job order, so
 //! the same campaign produces byte-identical JSON regardless of how many
 //! worker threads flew it — the property the determinism integration tests
 //! pin down.
@@ -26,7 +26,7 @@ pub fn csv_escape(field: &str) -> String {
     }
 }
 
-/// Streaming summary of one scalar metric over a cell's missions.
+/// Summary of one scalar metric over a cell's missions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MetricSummary {
     /// Number of samples.
@@ -39,11 +39,11 @@ pub struct MetricSummary {
     pub min: Option<f64>,
     /// Largest sample.
     pub max: Option<f64>,
-    /// Median (P² estimate interpolated at the desired rank; exact at five
-    /// or fewer samples).
+    /// Median: the order statistics linearly interpolated at the 1-based
+    /// rank `1 + 0.5·(count − 1)`.
     pub p50: Option<f64>,
-    /// 95th percentile (P² estimate interpolated at the desired rank; exact
-    /// at five or fewer samples).
+    /// 95th percentile, interpolated the same way at rank
+    /// `1 + 0.95·(count − 1)`.
     pub p95: Option<f64>,
 }
 
@@ -306,23 +306,6 @@ impl CampaignReport {
                     .all(|(plan, kind)| plan.kind == *kind)
         })
     }
-
-    /// All cells of one variant, in grid order.
-    pub fn cells_for(&self, variant: SystemVariant) -> impl Iterator<Item = &CellReport> {
-        self.cells.iter().filter(move |c| c.variant == variant)
-    }
-
-    /// All cells of one scenario family, in grid order.
-    pub fn cells_in_family(&self, family: ScenarioFamily) -> impl Iterator<Item = &CellReport> {
-        self.cells.iter().filter(move |c| c.family == family)
-    }
-
-    /// All persisted traces of one cell, in grid order.
-    pub fn traces_for_cell(&self, cell_index: usize) -> impl Iterator<Item = &TraceLink> {
-        self.traces
-            .iter()
-            .filter(move |t| t.cell_index == cell_index)
-    }
 }
 
 #[cfg(test)]
@@ -505,12 +488,6 @@ mod tests {
             report.cells[1].label(),
             "constrained-pad/MLS-V1/desktop-sil/gps-bias@0.500"
         );
-        assert_eq!(
-            report
-                .cells_in_family(ScenarioFamily::ConstrainedPad)
-                .count(),
-            1
-        );
         assert!(report
             .cell_in_family(
                 ScenarioFamily::ConstrainedPad,
@@ -549,17 +526,6 @@ mod tests {
         assert!(report
             .cell(SystemVariant::MlsV3, "desktop-sil", None)
             .is_none());
-        assert_eq!(report.cells_for(SystemVariant::MlsV1).count(), 2);
         assert!(report.cells[1].label().contains("gps-bias@0.500"));
-    }
-
-    #[test]
-    fn trace_links_are_queryable_per_cell() {
-        let report = report();
-        assert_eq!(report.traces_for_cell(1).count(), 1);
-        assert_eq!(report.traces_for_cell(0).count(), 0);
-        let link = report.traces_for_cell(1).next().unwrap();
-        assert_eq!(link.triage.as_deref(), Some("gps-drift"));
-        assert!(link.path.ends_with(".jsonl"));
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! Determinism is preserved by separating *execution* order from
 //! *aggregation* order: each mission's seed is a pure function of its grid
-//! coordinates ([`CampaignSpec::mission_seed`]), and the per-cell streaming
-//! accumulators are fed in global job order after all workers have joined.
+//! coordinates ([`CampaignSpec::mission_seed`]), and each cell is
+//! summarised from its records in global job order after all workers have
+//! joined.
 //! The resulting [`CampaignReport`] is byte-identical for a given spec
 //! regardless of thread count — including under early stopping, whose
 //! decided prefix is a pure function of the mission outcomes in job order
@@ -33,7 +34,7 @@ use crate::faults::{CompositeInjector, MissionFaultContext};
 use crate::journal::{Journal, JournalHandle, JournalScope};
 use crate::report::{CampaignReport, CellReport, EarlyStopSummary, TraceLink};
 use crate::spec::{CampaignCell, CampaignSpec, EarlyStopPolicy};
-use crate::stats::MetricAccumulator;
+use crate::stats;
 use crate::suites::{SuiteCache, SuiteKey};
 use crate::CampaignError;
 
@@ -482,15 +483,6 @@ impl CampaignRunner {
         self.trace_dir
             .clone()
             .unwrap_or_else(|| PathBuf::from("traces").join(&spec.name))
-    }
-
-    /// A runner sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
     }
 
     /// The maximum concurrent mission workers per batch.
@@ -1177,8 +1169,8 @@ fn fly_mission(
 }
 
 /// Aggregates one cell's records (already in deterministic job order,
-/// restricted to the decided prefix) into a [`CellReport`] via the
-/// streaming accumulators.
+/// restricted to the decided prefix) into a [`CellReport`], summarising
+/// each metric exactly from the records that carry it.
 fn aggregate_cell(
     cell: &CampaignCell,
     records: &[&MissionRecord],
@@ -1188,31 +1180,12 @@ fn aggregate_cell(
     let rate = |predicate: &dyn Fn(&MissionRecord) -> bool| {
         records.iter().filter(|r| predicate(r)).count() as f64 / n
     };
-
-    let mut landing_error = MetricAccumulator::new();
-    let mut detection_error = MetricAccumulator::new();
-    let mut duration = MetricAccumulator::new();
-    let mut mean_cpu = MetricAccumulator::new();
-    let mut peak_memory_mb = MetricAccumulator::new();
-    let mut worst_planning_latency = MetricAccumulator::new();
-    let mut gps_drift = MetricAccumulator::new();
-    let mut visible = 0usize;
-    let mut missed = 0usize;
-    for record in records {
-        if let Some(error) = record.landing_error {
-            landing_error.push(error);
-        }
-        if let Some(error) = record.detection_error {
-            detection_error.push(error);
-        }
-        duration.push(record.duration);
-        mean_cpu.push(record.mean_cpu);
-        peak_memory_mb.push(record.peak_memory_mb);
-        worst_planning_latency.push(record.worst_planning_latency);
-        gps_drift.push(record.gps_drift);
-        visible += record.visible_frames;
-        missed += record.missed_frames;
-    }
+    let summary = |metric: &dyn Fn(&MissionRecord) -> Option<f64>| {
+        let samples: Vec<f64> = records.iter().filter_map(|r| metric(r)).collect();
+        stats::summarize(&samples)
+    };
+    let visible: usize = records.iter().map(|r| r.visible_frames).sum();
+    let missed: usize = records.iter().map(|r| r.missed_frames).sum();
 
     CellReport {
         index: cell.index,
@@ -1230,13 +1203,13 @@ fn aggregate_cell(
         } else {
             missed as f64 / visible as f64
         },
-        landing_error: landing_error.summary(),
-        detection_error: detection_error.summary(),
-        duration: duration.summary(),
-        mean_cpu: mean_cpu.summary(),
-        peak_memory_mb: peak_memory_mb.summary(),
-        worst_planning_latency: worst_planning_latency.summary(),
-        gps_drift: gps_drift.summary(),
+        landing_error: summary(&|r| r.landing_error),
+        detection_error: summary(&|r| r.detection_error),
+        duration: summary(&|r| Some(r.duration)),
+        mean_cpu: summary(&|r| Some(r.mean_cpu)),
+        peak_memory_mb: summary(&|r| Some(r.peak_memory_mb)),
+        worst_planning_latency: summary(&|r| Some(r.worst_planning_latency)),
+        gps_drift: summary(&|r| Some(r.gps_drift)),
         early_stop,
     }
 }
@@ -1244,6 +1217,7 @@ fn aggregate_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::MetricSummary;
 
     #[test]
     fn runner_clamps_threads() {
@@ -1252,7 +1226,6 @@ mod tests {
             CampaignRunner::new(1_000_000).threads(),
             CampaignRunner::MAX_THREADS
         );
-        assert!(CampaignRunner::auto().threads() >= 1);
     }
 
     #[test]
@@ -1305,6 +1278,36 @@ mod tests {
         // A straggler that was already in flight does not move anything.
         progress.record(5, true);
         assert_eq!(progress.verdict(), (3, false));
+    }
+
+    #[test]
+    fn aggregate_cell_summarises_each_metric_over_the_records_that_carry_it() {
+        let cell = &CampaignSpec::smoke().cells()[0];
+        let records: Vec<MissionRecord> = (0..8u32)
+            .map(|i| MissionRecord {
+                result: MissionResult::Success,
+                failsafe: None,
+                // Every third mission never touches down.
+                landing_error: (i % 3 != 2).then_some(f64::from(i)),
+                detection_error: None,
+                duration: 100.0 + f64::from(i),
+                mean_cpu: 0.5,
+                peak_memory_mb: 256.0,
+                worst_planning_latency: 0.01,
+                gps_drift: 0.0,
+                visible_frames: 10,
+                missed_frames: 1,
+                trace: None,
+            })
+            .collect();
+        let records: Vec<&MissionRecord> = records.iter().collect();
+        let report = aggregate_cell(cell, &records, None);
+        assert_eq!(report.missions, 8);
+        assert_eq!(report.duration.count, 8);
+        // Landing errors 0 1 3 4 6 7: p95 at rank 1 + 0.95·5 = 5.75.
+        assert_eq!(report.landing_error.count, 6);
+        assert_eq!(report.landing_error.p95, Some(6.75));
+        assert_eq!(report.detection_error, MetricSummary::empty());
     }
 
     #[test]

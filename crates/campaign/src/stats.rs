@@ -1,290 +1,55 @@
-//! Streaming statistics: Welford mean/variance and P² quantile estimation.
+//! Exact per-cell summary statistics.
 //!
-//! Campaign cells can hold thousands of missions; the accumulators here
-//! summarise a metric stream in O(1) memory. Both are deterministic functions
-//! of the *ordered* input stream, which is why the runner always feeds them
-//! in global job order — the resulting report bytes are then independent of
-//! how many worker threads flew the missions.
+//! The runner holds every record of a cell when it aggregates it, so each
+//! metric is summarised from its full sample list. The samples arrive in
+//! global job order, which keeps the report bytes independent of how many
+//! worker threads flew the missions.
 
-use serde::{Deserialize, Serialize};
+use crate::report::MetricSummary;
 
-/// Welford's online algorithm for mean and variance.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+/// Summarises one metric's samples: Welford's recurrence over the samples
+/// in the given order for mean and population standard deviation, and the
+/// exact median and 95th percentile (see [`quantile`]).
+pub(crate) fn summarize(samples: &[f64]) -> MetricSummary {
+    if samples.is_empty() {
+        return MetricSummary::empty();
     }
-
-    /// Feeds one sample.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+    let (mut mean, mut m2) = (0.0, 0.0);
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (seen, &value) in (1u64..).zip(samples) {
+        let delta = value - mean;
+        mean += delta / seen as f64;
+        m2 += delta * (value - mean);
+        min = min.min(value);
+        max = max.max(value);
     }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance; `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
-    /// Population standard deviation; `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest sample; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let count = samples.len() as u64;
+    MetricSummary {
+        count,
+        mean: Some(mean),
+        std_dev: Some((m2 / count as f64).sqrt()),
+        min: Some(min),
+        max: Some(max),
+        p50: Some(quantile(&sorted, 0.5)),
+        p95: Some(quantile(&sorted, 0.95)),
     }
 }
 
-/// The P² (Jain & Chlamtac) streaming quantile estimator: tracks one
-/// quantile with five markers and no sample storage.
-///
-/// Exact for the first five samples, then a piecewise-parabolic
-/// approximation. Deterministic in the input order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct P2Quantile {
-    quantile: f64,
-    /// Marker heights (estimates of the quantile positions).
-    heights: [f64; 5],
-    /// Actual marker positions (1-based sample ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired-position increments per sample.
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for `quantile` in `(0, 1)`.
-    pub fn new(quantile: f64) -> Self {
-        let q = quantile.clamp(1e-6, 1.0 - 1e-6);
-        Self {
-            quantile: q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
+/// The `q` quantile of ascending, non-empty `sorted`: linear interpolation
+/// between the order statistics that bracket the 1-based rank
+/// `1 + q·(n − 1)`.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let last = sorted.len() - 1;
+    if last == 0 {
+        return sorted[0];
     }
-
-    /// The quantile this estimator tracks.
-    pub fn quantile(&self) -> f64 {
-        self.quantile
-    }
-
-    /// Number of samples fed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one sample.
-    pub fn push(&mut self, value: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = value;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell the sample falls into and bump the end markers.
-        let k = if value < self.heights[0] {
-            self.heights[0] = value;
-            0
-        } else if value >= self.heights[4] {
-            self.heights[4] = value;
-            3
-        } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if value >= self.heights[i] && value < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
-        };
-
-        for position in self.positions.iter_mut().skip(k + 1) {
-            *position += 1.0;
-        }
-        for (desired, increment) in self.desired.iter_mut().zip(self.increments) {
-            *desired += increment;
-        }
-
-        // Adjust the three interior markers towards their desired positions.
-        for i in 1..4 {
-            let delta = self.desired[i] - self.positions[i];
-            let ahead = self.positions[i + 1] - self.positions[i];
-            let behind = self.positions[i - 1] - self.positions[i];
-            if (delta >= 1.0 && ahead > 1.0) || (delta <= -1.0 && behind < -1.0) {
-                let direction = delta.signum();
-                let parabolic = self.parabolic(i, direction);
-                if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    self.heights[i] = parabolic;
-                } else {
-                    self.heights[i] = self.linear(i, direction);
-                }
-                self.positions[i] += direction;
-            }
-        }
-    }
-
-    /// Current estimate; `None` when empty. Exact (linearly interpolated at
-    /// the fractional rank `1 + q·(n−1)`) while at most five samples have
-    /// been seen.
-    ///
-    /// Past five samples the estimate interpolates the *marker polyline* at
-    /// that same desired rank instead of returning the middle marker: right
-    /// after the exact↔estimate handoff the markers are still the raw
-    /// sorted samples, so `heights[2]` is their median regardless of the
-    /// tracked quantile — a p95 stream over `[1..5]` used to collapse from
-    /// the sample maximum to `3.0` on the fifth sample and crawl back up
-    /// only as the markers adapted. Interpolating at the desired rank makes
-    /// the estimate continuous across the handoff (at five samples the
-    /// markers *are* the sorted samples at ranks 1–5, so both paths agree
-    /// exactly) and asymptotically equals the classic middle-marker
-    /// estimate, whose position converges onto the desired rank.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = 1.0 + self.quantile * (self.count - 1) as f64;
-        if self.count <= 5 {
-            // `heights[..count]` holds the raw samples (already sorted once
-            // the fifth arrives); the exact quantile is available.
-            let mut sorted = self.heights[..self.count].to_vec();
-            sorted.sort_by(f64::total_cmp);
-            let positions: Vec<f64> = (1..=self.count).map(|i| i as f64).collect();
-            return Some(interpolate_rank(&positions, &sorted, rank));
-        }
-        Some(interpolate_rank(&self.positions, &self.heights, rank))
-    }
-
-    fn parabolic(&self, i: usize, direction: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + direction / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + direction) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - direction) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, direction: f64) -> f64 {
-        let j = (i as f64 + direction) as usize;
-        self.heights[i]
-            + direction * (self.heights[j] - self.heights[i])
-                / (self.positions[j] - self.positions[i])
-    }
-}
-
-/// Linearly interpolates a monotone (position, height) polyline at `rank`,
-/// clamping to the end points. `positions` are 1-based sample ranks in
-/// ascending order; ties in position fall back to the later height.
-fn interpolate_rank(positions: &[f64], heights: &[f64], rank: f64) -> f64 {
-    debug_assert_eq!(positions.len(), heights.len());
-    if positions.len() == 1 {
-        return heights[0];
-    }
-    let mut i = 0;
-    while i + 2 < positions.len() && positions[i + 1] < rank {
-        i += 1;
-    }
-    let (p0, p1) = (positions[i], positions[i + 1]);
-    if p1 <= p0 {
-        return heights[i + 1];
-    }
-    let t = ((rank - p0) / (p1 - p0)).clamp(0.0, 1.0);
-    heights[i] + t * (heights[i + 1] - heights[i])
-}
-
-/// One metric's full streaming summary: mean/std/min/max plus the median and
-/// the 95th percentile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricAccumulator {
-    welford: Welford,
-    p50: P2Quantile,
-    p95: P2Quantile,
-}
-
-impl Default for MetricAccumulator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            welford: Welford::new(),
-            p50: P2Quantile::new(0.5),
-            p95: P2Quantile::new(0.95),
-        }
-    }
-
-    /// Feeds one sample into every statistic.
-    pub fn push(&mut self, value: f64) {
-        self.welford.push(value);
-        self.p50.push(value);
-        self.p95.push(value);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.welford.count()
-    }
-
-    /// Snapshot of the summary statistics.
-    pub fn summary(&self) -> crate::report::MetricSummary {
-        crate::report::MetricSummary {
-            count: self.welford.count(),
-            mean: self.welford.mean(),
-            std_dev: self.welford.std_dev(),
-            min: self.welford.min(),
-            max: self.welford.max(),
-            p50: self.p50.estimate(),
-            p95: self.p95.estimate(),
-        }
-    }
+    let rank = 1.0 + q * last as f64;
+    // The bracketing pair is (i, i + 1) for the smallest i with rank ≤ i + 2.
+    let i = (rank.ceil() as usize).saturating_sub(2).min(last - 1);
+    let t = (rank - (i + 1) as f64).clamp(0.0, 1.0);
+    sorted[i] + t * (sorted[i + 1] - sorted[i])
 }
 
 #[cfg(test)]
@@ -292,101 +57,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_direct_computation() {
+    fn moments_match_direct_computation() {
         let samples = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for s in samples {
-            w.push(s);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((w.std_dev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(w.min(), Some(2.0));
-        assert_eq!(w.max(), Some(9.0));
-        assert_eq!(Welford::new().mean(), None);
+        let summary = summarize(&samples);
+        assert_eq!(summary.count, 8);
+        assert!((summary.mean.unwrap() - 5.0).abs() < 1e-12);
+        assert!((summary.std_dev.unwrap() - 2.0).abs() < 1e-12);
+        assert_eq!(summary.min, Some(2.0));
+        assert_eq!(summary.max, Some(9.0));
     }
 
     #[test]
-    fn p2_median_tracks_a_uniform_stream() {
-        let mut q = P2Quantile::new(0.5);
-        // Deterministic pseudo-uniform stream in [0, 1000).
-        let mut state = 1u64;
-        for _ in 0..5000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            q.push((state >> 11) as f64 % 1000.0);
-        }
-        let median = q.estimate().unwrap();
-        assert!((median - 500.0).abs() < 50.0, "median {median}");
+    fn percentiles_of_a_shuffled_ramp_are_exact() {
+        // 1..=100 in a fixed scrambled order (37 is coprime to 100).
+        let ramp: Vec<f64> = (0..100u32).map(|i| f64::from(i * 37 % 100 + 1)).collect();
+        let summary = summarize(&ramp);
+        assert_eq!(summary.p50, Some(50.5));
+        assert_eq!(summary.p95, Some(95.05));
     }
 
     #[test]
-    fn p2_exact_for_small_streams() {
-        let mut q = P2Quantile::new(0.5);
-        assert_eq!(q.estimate(), None);
-        q.push(10.0);
-        assert_eq!(q.estimate(), Some(10.0));
-        q.push(30.0);
-        q.push(20.0);
-        assert_eq!(q.estimate(), Some(20.0));
-    }
-
-    #[test]
-    fn p2_exact_estimate_handoff_at_five_samples_is_not_discontinuous() {
-        // Regression: at exactly five samples the markers are still the raw
-        // sorted samples, and the estimator used to return their median for
-        // *any* quantile — a p95 stream over [1..5] reported 3.0.
-        let mut q = P2Quantile::new(0.95);
-        for i in 1..=4 {
-            q.push(i as f64);
-        }
-        // Exact fractional-rank quantile: rank 1 + 0.95·3 = 3.85 → 3.85.
-        assert!((q.estimate().unwrap() - 3.85).abs() < 1e-12);
-        q.push(5.0);
-        // At the handoff the markers *are* the sorted samples, so both
-        // paths agree: rank 1 + 0.95·4 = 4.8 → 4.8, far from the old 3.0.
-        assert!((q.estimate().unwrap() - 4.8).abs() < 1e-12);
-        // Crossing into the marker-based regime stays continuous and in the
-        // upper sample range rather than collapsing to the median.
-        q.push(6.0);
-        let estimate = q.estimate().unwrap();
-        assert!(
-            (4.8..=6.0).contains(&estimate),
-            "6 samples: p95 estimate {estimate} left the upper sample range"
-        );
-
-        // The p50 handoff is unchanged: the median of five sorted samples
-        // sits at rank 3 on both sides of the boundary.
-        let mut median = P2Quantile::new(0.5);
-        for value in [10.0, 30.0, 20.0, 50.0, 40.0] {
-            median.push(value);
-        }
-        assert_eq!(median.estimate(), Some(30.0));
-    }
-
-    #[test]
-    fn p2_p95_on_a_ramp() {
-        let mut q = P2Quantile::new(0.95);
-        for i in 0..1000 {
-            q.push(i as f64);
-        }
-        let p95 = q.estimate().unwrap();
-        assert!((p95 - 950.0).abs() < 25.0, "p95 {p95}");
-    }
-
-    #[test]
-    fn metric_accumulator_summarises() {
-        let mut m = MetricAccumulator::new();
-        for i in 1..=100 {
-            m.push(i as f64);
-        }
-        let summary = m.summary();
-        assert_eq!(summary.count, 100);
-        assert!((summary.mean.unwrap() - 50.5).abs() < 1e-12);
-        assert!((summary.p50.unwrap() - 50.0).abs() < 5.0);
-        assert!((summary.p95.unwrap() - 95.0).abs() < 5.0);
+    fn unsorted_input_gives_its_order_statistics() {
+        let summary = summarize(&[30.0, 1.0, 20.0, 2.0, 10.0, 3.0]);
+        // Sorted: 1 2 3 10 20 30. p50 at rank 3.5, p95 at rank 5.75.
+        assert_eq!(summary.p50, Some(6.5));
+        assert_eq!(summary.p95, Some(27.5));
         assert_eq!(summary.min, Some(1.0));
-        assert_eq!(summary.max, Some(100.0));
+        assert_eq!(summary.max, Some(30.0));
+    }
+
+    #[test]
+    fn a_single_sample_is_every_statistic_and_none_is_empty() {
+        let summary = summarize(&[4.25]);
+        assert_eq!(summary.count, 1);
+        assert_eq!(summary.mean, Some(4.25));
+        assert_eq!(summary.std_dev, Some(0.0));
+        assert_eq!((summary.min, summary.max), (Some(4.25), Some(4.25)));
+        assert_eq!((summary.p50, summary.p95), (Some(4.25), Some(4.25)));
+        assert_eq!(summarize(&[]), MetricSummary::empty());
     }
 }

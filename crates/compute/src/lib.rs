@@ -357,18 +357,12 @@ impl ComputeModel {
     pub fn peak_memory(&self) -> f64 {
         self.trace.iter().map(|s| s.memory_mb).fold(0.0, f64::max)
     }
-
-    /// Clears the recorded trace (memory declarations are kept).
-    pub fn reset_trace(&mut self) {
-        self.trace.clear();
-        self.time = 0.0;
-    }
 }
 
 /// Reference CPU costs (seconds on the SIL desktop) of one invocation of each
-/// module, parameterised by its workload. These constants were measured from
-/// the Criterion micro-benchmarks of the corresponding crates and define the
-/// exchange rate between "work done" and "platform time".
+/// module, parameterised by its workload. These fixed constants define the
+/// exchange rate between "work done" and "platform time"; they are model
+/// parameters, not timings taken while a mission flies.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadModel {
     /// Cost of one classical-detector inference on a 160x120 frame.
@@ -528,8 +522,6 @@ mod tests {
         assert!(jetson.average_cpu() > 0.05);
         let expected_memory = 550.0 + 800.0 + 400.0;
         assert!((jetson.peak_memory() - expected_memory).abs() < 1e-6);
-        jetson.reset_trace();
-        assert!(jetson.trace().is_empty());
     }
 
     #[test]

@@ -173,21 +173,6 @@ impl Aabb {
         }
         Some(t_min)
     }
-
-    /// `true` if the segment from `a` to `b` intersects the box.
-    pub fn intersects_segment(&self, a: Vec3, b: Vec3) -> bool {
-        if self.contains(a) || self.contains(b) {
-            return true;
-        }
-        let length = a.distance(b);
-        if length <= f64::EPSILON {
-            return false;
-        }
-        match Ray::between(a, b).and_then(|ray| self.ray_intersection(&ray)) {
-            Some(t) => t <= length,
-            None => false,
-        }
-    }
 }
 
 impl fmt::Display for Aabb {
@@ -286,18 +271,6 @@ mod tests {
         // Parallel to x axis, outside the y slab.
         let outside_slab = Ray::new(Vec3::new(-5.0, 2.0, 0.5), Vec3::UNIT_X);
         assert!(b.ray_intersection(&outside_slab).is_none());
-    }
-
-    #[test]
-    fn segment_intersection() {
-        let b = Aabb::from_center_half_extents(Vec3::new(5.0, 0.0, 0.0), Vec3::splat(1.0));
-        assert!(b.intersects_segment(Vec3::ZERO, Vec3::new(10.0, 0.0, 0.0)));
-        assert!(!b.intersects_segment(Vec3::ZERO, Vec3::new(3.0, 0.0, 0.0)));
-        assert!(!b.intersects_segment(Vec3::ZERO, Vec3::new(0.0, 10.0, 0.0)));
-        // Segment fully inside.
-        assert!(b.intersects_segment(Vec3::new(4.5, 0.0, 0.0), Vec3::new(5.5, 0.0, 0.0)));
-        // Degenerate segment outside.
-        assert!(!b.intersects_segment(Vec3::ZERO, Vec3::ZERO));
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl Pose {
         self.attitude.yaw
     }
 
-    /// Horizontal distance between this pose and a world point.
-    #[inline]
-    pub fn horizontal_distance_to(&self, point: Vec3) -> f64 {
-        self.position.horizontal_distance(point)
-    }
-
     /// `true` if position and attitude are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -142,7 +136,6 @@ mod tests {
         let p = Pose::from_position_yaw(Vec3::new(0.0, 0.0, 25.0), 0.7);
         assert_eq!(p.altitude(), 25.0);
         assert_eq!(p.yaw(), 0.7);
-        assert!((p.horizontal_distance_to(Vec3::new(3.0, 4.0, 0.0)) - 5.0).abs() < 1e-12);
         assert!(p.is_finite());
         assert!(!format!("{p}").is_empty());
     }

@@ -110,12 +110,6 @@ impl Vec2 {
         self.y.atan2(self.x)
     }
 
-    /// Lifts this vector to 3-D with the given z component.
-    #[inline]
-    pub fn with_z(self, z: f64) -> super::Vec3 {
-        super::Vec3::new(self.x, self.y, z)
-    }
-
     /// `true` if both components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -242,12 +236,6 @@ mod tests {
         assert!((Vec2::new(0.0, 1.0).angle() - FRAC_PI_2).abs() < 1e-12);
         assert!(Vec2::new(1.0, 0.0).cross(Vec2::new(0.0, 1.0)) > 0.0);
         assert!(Vec2::new(0.0, 1.0).cross(Vec2::new(1.0, 0.0)) < 0.0);
-    }
-
-    #[test]
-    fn lift_to_3d() {
-        let v = Vec2::new(2.0, 3.0).with_z(5.0);
-        assert_eq!(v, crate::Vec3::new(2.0, 3.0, 5.0));
     }
 
     #[test]

@@ -106,12 +106,6 @@ impl Vec3 {
         (self - other).norm()
     }
 
-    /// Squared distance to another point.
-    #[inline]
-    pub fn distance_squared(self, other: Vec3) -> f64 {
-        (self - other).norm_squared()
-    }
-
     /// Horizontal (x, y) distance to another point, ignoring altitude.
     #[inline]
     pub fn horizontal_distance(self, other: Vec3) -> f64 {
@@ -194,12 +188,6 @@ impl Vec3 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-
-    /// Maximum of the component absolute values (Chebyshev / L-inf norm).
-    #[inline]
-    pub fn max_component_abs(self) -> f64 {
-        self.x.abs().max(self.y.abs()).max(self.z.abs())
     }
 
     /// Caps the norm of the vector at `max_norm`, preserving direction.
@@ -390,7 +378,6 @@ mod tests {
         let a = Vec3::new(0.0, 0.0, 10.0);
         let b = Vec3::new(3.0, 4.0, 10.0);
         assert!((a.distance(b) - 5.0).abs() < 1e-12);
-        assert!((a.distance_squared(b) - 25.0).abs() < 1e-12);
         assert!((a.horizontal_distance(b) - 5.0).abs() < 1e-12);
         let c = Vec3::new(3.0, 4.0, 100.0);
         assert!((a.horizontal_distance(c) - 5.0).abs() < 1e-12);
@@ -414,7 +401,6 @@ mod tests {
         assert_eq!(v.abs(), Vec3::new(5.0, 5.0, 0.5));
         assert_eq!(v.min(Vec3::ZERO), Vec3::new(0.0, -5.0, 0.0));
         assert_eq!(v.max(Vec3::ZERO), Vec3::new(5.0, 0.0, 0.5));
-        assert_eq!(v.max_component_abs(), 5.0);
     }
 
     #[test]

@@ -66,43 +66,12 @@ impl VoxelIndex {
         )
     }
 
-    /// The minimum corner of this voxel at the given resolution.
-    #[inline]
-    pub fn min_corner(&self, resolution: f64) -> Vec3 {
-        Vec3::new(
-            self.x as f64 * resolution,
-            self.y as f64 * resolution,
-            self.z as f64 * resolution,
-        )
-    }
-
     /// Manhattan (L1) distance between two voxel indices.
     #[inline]
     pub fn manhattan_distance(&self, other: VoxelIndex) -> i64 {
         (self.x as i64 - other.x as i64).abs()
             + (self.y as i64 - other.y as i64).abs()
             + (self.z as i64 - other.z as i64).abs()
-    }
-
-    /// Euclidean distance between the centers of two voxels, in voxel units.
-    #[inline]
-    pub fn euclidean_distance(&self, other: VoxelIndex) -> f64 {
-        let dx = (self.x - other.x) as f64;
-        let dy = (self.y - other.y) as f64;
-        let dz = (self.z - other.z) as f64;
-        (dx * dx + dy * dy + dz * dz).sqrt()
-    }
-
-    /// The 6 face-adjacent neighbours of this voxel.
-    pub fn face_neighbors(&self) -> [VoxelIndex; 6] {
-        [
-            VoxelIndex::new(self.x + 1, self.y, self.z),
-            VoxelIndex::new(self.x - 1, self.y, self.z),
-            VoxelIndex::new(self.x, self.y + 1, self.z),
-            VoxelIndex::new(self.x, self.y - 1, self.z),
-            VoxelIndex::new(self.x, self.y, self.z + 1),
-            VoxelIndex::new(self.x, self.y, self.z - 1),
-        ]
     }
 
     /// All 26 neighbours of this voxel (face, edge and corner adjacency).
@@ -174,8 +143,6 @@ mod tests {
         let res = 0.25;
         let c = idx.center(res);
         assert_eq!(VoxelIndex::from_point(c, res), idx);
-        let corner = idx.min_corner(res);
-        assert_eq!(VoxelIndex::from_point(corner + Vec3::splat(1e-9), res), idx);
     }
 
     #[test]
@@ -183,14 +150,11 @@ mod tests {
         let a = VoxelIndex::new(0, 0, 0);
         let b = VoxelIndex::new(3, 4, 0);
         assert_eq!(a.manhattan_distance(b), 7);
-        assert!((a.euclidean_distance(b) - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn neighbor_counts_and_uniqueness() {
         let v = VoxelIndex::new(5, 5, 5);
-        let face = v.face_neighbors();
-        assert_eq!(face.len(), 6);
         let all = v.all_neighbors();
         assert_eq!(all.len(), 26);
         let mut sorted = all.clone();
@@ -198,10 +162,8 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 26);
         assert!(!all.contains(&v));
-        for n in &face {
-            assert!(all.contains(n));
-            assert_eq!(v.manhattan_distance(*n), 1);
-        }
+        let faces = all.iter().filter(|n| v.manhattan_distance(**n) == 1);
+        assert_eq!(faces.count(), 6);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl VoxelGridMap {
         self.origin + Vec3::new(self.config.half_extent_xy, self.config.half_extent_xy, 0.0)
     }
 
-    /// Number of cells currently marked occupied.
-    pub fn occupied_cells(&self) -> usize {
-        self.cells.iter().filter(|&&c| c == OCCUPIED).count()
-    }
-
     /// Number of cells observed (free or occupied).
     pub fn known_cells(&self) -> usize {
         self.cells.iter().filter(|&&c| c != UNKNOWN).count()
@@ -263,7 +258,6 @@ mod tests {
         assert_eq!(grid.state_at(hit), CellState::Occupied);
         assert_eq!(grid.state_at(Vec3::new(2.5, 0.0, 2.0)), CellState::Free);
         assert_eq!(grid.state_at(Vec3::new(0.0, 3.0, 2.0)), CellState::Unknown);
-        assert!(grid.occupied_cells() >= 1);
     }
 
     #[test]

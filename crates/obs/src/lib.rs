@@ -119,12 +119,6 @@ pub fn jsonl_enabled() -> bool {
     state.enabled.load(Ordering::Relaxed) && state.events.is_some()
 }
 
-/// Whether the stderr progress line is live.
-pub fn progress_enabled() -> bool {
-    let state = obs();
-    state.enabled.load(Ordering::Relaxed) && state.config.progress
-}
-
 /// The counter named `name` in the global registry. Hot call sites should
 /// cache the returned [`Arc`] in a `OnceLock` — the lookup takes a mutex.
 pub fn counter(name: &str) -> Arc<Counter> {
@@ -276,7 +270,6 @@ mod tests {
         pin_disabled();
         assert!(!enabled());
         assert!(!jsonl_enabled());
-        assert!(!progress_enabled());
         let span = span("unit_lib");
         assert!(!span.is_enabled());
         event("unit", &[("k", FieldValue::U64(1))]);

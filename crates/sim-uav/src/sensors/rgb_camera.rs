@@ -25,7 +25,7 @@ pub struct RgbCameraConfig {
     /// added to the rendered scene (cheap culling).
     pub render_radius: f64,
     /// Per-axis supersampling of the renderer (1 keeps mission rendering
-    /// cheap; 2 matches the offline training quality).
+    /// cheap; 2 is the renderer's own anti-aliased default).
     pub supersampling: u8,
 }
 
@@ -75,11 +75,6 @@ impl RgbCamera {
     /// The configuration.
     pub fn config(&self) -> &RgbCameraConfig {
         &self.config
-    }
-
-    /// Number of frames captured so far.
-    pub fn frames_captured(&self) -> u64 {
-        self.frame_index
     }
 
     /// Captures one frame from the vehicle's true pose.
@@ -143,7 +138,6 @@ mod tests {
         let frame = cam.capture(&world, &Weather::clear(), &pose, 0.0);
         let detections = ClassicalDetector::new(dict).detect(&frame);
         assert!(detections.iter().any(|d| d.id == 4));
-        assert_eq!(cam.frames_captured(), 1);
     }
 
     #[test]

@@ -214,14 +214,6 @@ impl WorldMap {
         best
     }
 
-    /// Number of obstacles whose bounding box intersects `region`.
-    pub fn obstacles_in_region(&self, region: &Aabb) -> usize {
-        self.obstacles
-            .iter()
-            .filter(|o| o.bounding_box().intersects(region))
-            .count()
-    }
-
     /// The tallest obstacle height in the map (0 for an empty map).
     pub fn max_obstacle_height(&self) -> f64 {
         self.obstacles
@@ -336,16 +328,6 @@ mod tests {
         let empty = WorldMap::empty("empty", MapStyle::Rural, 10.0);
         assert_eq!(empty.obstacle_density(), 0.0);
         assert_eq!(empty.max_obstacle_height(), 0.0);
-    }
-
-    #[test]
-    fn obstacles_in_region_counts_intersections() {
-        let map = simple_map();
-        let near_building =
-            Aabb::from_center_half_extents(Vec3::new(20.0, 0.0, 5.0), Vec3::splat(8.0));
-        assert_eq!(map.obstacles_in_region(&near_building), 1);
-        let everything = map.bounds;
-        assert_eq!(map.obstacles_in_region(&everything), 2);
     }
 
     #[test]

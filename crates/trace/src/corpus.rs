@@ -22,7 +22,6 @@
 //! [`TraceCorpus::open`] + [`TraceCorpus::resolve`] still find every
 //! trace, where the absolute paths in an old report would dangle.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -341,16 +340,6 @@ impl<'a> CorpusQuery<'a> {
         self.records
     }
 
-    /// Groups the kept records by a key and counts each group (sorted by
-    /// key — deterministic).
-    pub fn group_count(&self, key: impl Fn(&CorpusRecord) -> String) -> BTreeMap<String, usize> {
-        let mut groups = BTreeMap::new();
-        for record in &self.records {
-            *groups.entry(key(record)).or_insert(0) += 1;
-        }
-        groups
-    }
-
     /// Draws a deterministic pseudo-random sample of up to `n` records:
     /// records are ranked by an FNV-1a hash of `(seed, grid identity)` and
     /// the lowest `n` kept, so the same seed over the same corpus always
@@ -481,9 +470,6 @@ mod tests {
         assert_eq!(corpus.query().verdict("collision").count(), 1);
         assert_eq!(corpus.query().fault_axis("gps-bias").count(), 3);
         assert_eq!(corpus.query().fault_axis("wind-gust").count(), 0);
-        let by_verdict = corpus.query().group_count(|r| r.verdict.clone());
-        assert_eq!(by_verdict.get("success"), Some(&1));
-        assert_eq!(by_verdict.values().sum::<usize>(), 3);
         let a = corpus.query().sample(7, 2);
         let b = corpus.query().sample(7, 2);
         assert_eq!(a, b, "sampling is a pure function of the seed");

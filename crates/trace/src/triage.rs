@@ -25,7 +25,6 @@
 //! the taxonomy for failures Fig. 5 had no panel for. Successful missions
 //! are never classified.
 
-use mls_geom::Vec3;
 use serde::{Deserialize, Serialize};
 
 use crate::event::TraceEvent;
@@ -324,22 +323,21 @@ pub fn triage(trace: &Trace) -> TriageReport {
     }
 }
 
-/// Convenience constructor for tests and synthetic traces.
-#[doc(hidden)]
-pub fn fault_active_event(time: f64, gps_bias: Vec3) -> TraceEvent {
-    TraceEvent::FaultActive {
-        time,
-        gps_bias,
-        wind: Vec3::ZERO,
-        compute_throttle: 1.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::{config_hash, TraceHeader, TRACE_FORMAT_VERSION};
     use mls_core::{FailsafeReason, SystemVariant};
+    use mls_geom::Vec3;
+
+    fn fault_active_event(time: f64, gps_bias: Vec3) -> TraceEvent {
+        TraceEvent::FaultActive {
+            time,
+            gps_bias,
+            wind: Vec3::ZERO,
+            compute_throttle: 1.0,
+        }
+    }
 
     fn trace_with(events: Vec<TraceEvent>) -> Trace {
         Trace {

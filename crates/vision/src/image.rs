@@ -243,33 +243,6 @@ impl GrayImage {
         out
     }
 
-    /// Downsamples the image by an integer factor using block averaging.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero or larger than either dimension.
-    pub fn downsampled(&self, factor: usize) -> GrayImage {
-        assert!(
-            factor > 0 && factor <= self.width && factor <= self.height,
-            "invalid downsample factor"
-        );
-        let nw = self.width / factor;
-        let nh = self.height / factor;
-        let mut out = GrayImage::new(nw, nh);
-        for y in 0..nh {
-            for x in 0..nw {
-                let mut sum = 0.0f32;
-                for dy in 0..factor {
-                    for dx in 0..factor {
-                        sum += self.get(x * factor + dx, y * factor + dy);
-                    }
-                }
-                out.set(x, y, sum / (factor * factor) as f32);
-            }
-        }
-        out
-    }
-
     /// Global standard deviation of the luminance.
     pub fn std_dev(&self) -> f32 {
         let mean = self.mean() as f64;
@@ -490,21 +463,6 @@ mod tests {
             edge > 0.1 && edge < 0.9,
             "edge should be smoothed, got {edge}"
         );
-    }
-
-    #[test]
-    fn downsample_averages_blocks() {
-        let mut img = GrayImage::new(4, 4);
-        for y in 0..4 {
-            for x in 0..4 {
-                img.set(x, y, if x < 2 { 0.0 } else { 1.0 });
-            }
-        }
-        let small = img.downsampled(2);
-        assert_eq!(small.width(), 2);
-        assert_eq!(small.height(), 2);
-        assert!((small.get(0, 0) - 0.0).abs() < 1e-6);
-        assert!((small.get(1, 0) - 1.0).abs() < 1e-6);
     }
 
     #[test]

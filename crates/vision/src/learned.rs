@@ -19,8 +19,8 @@
 //!    (the "regression head"),
 //! 4. soft-bit decoding: every cell contributes a weighted vote against every
 //!    dictionary code in all four rotations (the "classification head"),
-//! 5. an acceptance threshold on the soft score that is *calibrated offline*
-//!    by [`crate::training`] on synthetic degraded imagery (the "training").
+//! 5. a fixed acceptance threshold on the soft score and a margin over the
+//!    runner-up code (the "confidence threshold").
 
 use mls_geom::Vec2;
 use serde::{Deserialize, Serialize};
@@ -59,7 +59,7 @@ pub struct LearnedDetectorConfig {
     pub refinement_iterations: usize,
     /// Corner-refinement step in pixels.
     pub refinement_step: f64,
-    /// Soft-score acceptance threshold in `[0, 1]`; calibrated by training.
+    /// Soft-score acceptance threshold in `[0, 1]`.
     pub acceptance_threshold: f64,
     /// Required margin between the best and second-best dictionary code.
     pub min_margin: f64,
@@ -89,8 +89,9 @@ impl Default for LearnedDetectorConfig {
 
 /// A scored marker hypothesis produced before thresholding.
 ///
-/// [`crate::training`] uses these raw scores to calibrate the acceptance
-/// threshold; [`LearnedDetector::detect`] simply filters them.
+/// [`LearnedDetector::score_candidates`] returns every one;
+/// [`LearnedDetector::detect`] keeps those that clear the acceptance
+/// threshold and the margin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScoredCandidate {
     /// Best-matching dictionary id.
@@ -134,7 +135,7 @@ pub struct LearnedDetector {
 }
 
 impl LearnedDetector {
-    /// Creates a detector with the default (pre-calibrated) configuration.
+    /// Creates a detector with the default configuration.
     pub fn new(dictionary: MarkerDictionary) -> Self {
         Self::with_config(dictionary, LearnedDetectorConfig::default())
     }
@@ -160,11 +161,6 @@ impl LearnedDetector {
     /// The active configuration.
     pub fn config(&self) -> &LearnedDetectorConfig {
         &self.config
-    }
-
-    /// Replaces the acceptance threshold (used by offline calibration).
-    pub fn set_acceptance_threshold(&mut self, threshold: f64) {
-        self.config.acceptance_threshold = threshold.clamp(0.0, 1.0);
     }
 
     /// Produces every scored hypothesis for a frame, *without* applying the
@@ -504,13 +500,19 @@ mod tests {
 
     #[test]
     fn threshold_can_be_recalibrated() {
-        let mut detector = LearnedDetector::new(MarkerDictionary::standard());
-        detector.set_acceptance_threshold(0.99);
+        let with_threshold = |acceptance_threshold| {
+            LearnedDetector::with_config(
+                MarkerDictionary::standard(),
+                LearnedDetectorConfig {
+                    acceptance_threshold,
+                    ..LearnedDetectorConfig::default()
+                },
+            )
+        };
         let frame = render(3, 9.0, 1.0, 0.0);
         // With an absurd threshold nothing passes.
-        assert!(detector.detect(&frame).is_empty());
-        detector.set_acceptance_threshold(0.5);
-        assert!(!detector.detect(&frame).is_empty());
+        assert!(with_threshold(0.99).detect(&frame).is_empty());
+        assert!(!with_threshold(0.5).detect(&frame).is_empty());
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   normalisation of the frame, permissive candidate proposals from dark
 //!   connected components, corner refinement by hill-climbing on the decode
 //!   score, and soft-bit decoding of every cell against every dictionary code
-//!   in all four rotations. Its acceptance threshold is calibrated by an
-//!   offline synthetic training pass ([`training`]). The surrogate keeps
-//!   the property the paper actually measures — markedly better detection
-//!   under blur, occlusion, glare, low light and sensor noise — while running
-//!   on the very same rendered frames as the classical detector.
+//!   in all four rotations, accepted above a fixed soft-score threshold.
+//!   The surrogate keeps the property the paper actually measures —
+//!   markedly better detection under blur, occlusion, glare, low light and
+//!   sensor noise — while running on the very same rendered frames as the
+//!   classical detector.
 //!
 //! Everything upstream of the detectors is also here: a tiny grayscale image
 //! type ([`GrayImage`]), a pinhole camera ([`Camera`]), an ArUco-style marker
@@ -64,7 +64,6 @@ mod homography;
 mod image;
 pub mod learned;
 mod renderer;
-pub mod training;
 
 pub use camera::{Camera, CameraIntrinsics, CameraMount};
 pub use classical::{ClassicalDetector, ClassicalDetectorConfig};
@@ -77,7 +76,6 @@ pub use learned::{LearnedDetector, LearnedDetectorConfig};
 pub use renderer::{
     GroundAppearance, GroundScene, MarkerPlacement, MarkerRenderer, RendererConfig, ShadowDisc,
 };
-pub use training::{TrainingConfig, TrainingReport, TrainingSample};
 
 /// Errors produced by the vision crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,11 +106,6 @@ pub enum VisionError {
     /// A homography or pose-estimation problem was geometrically degenerate
     /// (collinear correspondences, zero-area quads, ...).
     DegenerateGeometry,
-    /// A detector or training configuration value was out of range.
-    InvalidConfig {
-        /// Human-readable description of the invalid parameter.
-        reason: String,
-    },
 }
 
 impl fmt::Display for VisionError {
@@ -133,7 +126,6 @@ impl fmt::Display for VisionError {
             }
             VisionError::BehindCamera => write!(f, "point projects behind the camera"),
             VisionError::DegenerateGeometry => write!(f, "degenerate geometry"),
-            VisionError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
 }
