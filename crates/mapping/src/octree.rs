@@ -11,7 +11,7 @@ use mls_geom::Vec3;
 use serde::{Deserialize, Serialize};
 
 use crate::raycast::voxel_traversal;
-use crate::{CellState, MappingError, OccupancyQuery};
+use crate::{occupancy_blocks, probes, CellState, MappingError, OccupancyQuery};
 
 /// Configuration of the octree map.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -183,7 +183,7 @@ impl OctreeMap {
 
     /// Applies a log-odds delta to the leaf containing `point`.
     fn update_cell(&mut self, point: Vec3, delta: f64) {
-        let Some((mut ix, mut iy, mut iz)) = self.leaf_coordinates(point) else {
+        let Some(leaf) = self.leaf_coordinates(point) else {
             return;
         };
         // Descend, creating children (and expanding collapsed nodes) as
@@ -191,8 +191,7 @@ impl OctreeMap {
         let mut path = Vec::with_capacity(self.depth as usize);
         let mut node_idx = 0u32;
         for level in (0..self.depth).rev() {
-            let octant = (((ix >> level) & 1) << 2 | ((iy >> level) & 1) << 1 | ((iz >> level) & 1))
-                as usize;
+            let octant = octant(leaf, level);
             path.push((node_idx, octant));
             let node = self.nodes[node_idx as usize];
             if node.is_leaf() && node.observed {
@@ -215,10 +214,6 @@ impl OctreeMap {
                 child_idx
             };
             node_idx = child_idx;
-            // Strip the consumed bit so lower levels see local coordinates.
-            ix &= (1 << level) - 1;
-            iy &= (1 << level) - 1;
-            iz &= (1 << level) - 1;
         }
         let (lo, hi) = self.config.clamp;
         let leaf = &mut self.nodes[node_idx as usize];
@@ -302,6 +297,25 @@ impl OctreeMap {
         Some((ix, iy, iz))
     }
 
+    /// State of the leaf at `leaf` read from node `node_idx`, which sits
+    /// `levels` levels above the leaves on that leaf's path; the bits of
+    /// `leaf` above those levels are taken as already consumed.
+    fn state_below(&self, mut node_idx: u32, levels: u32, leaf: (u64, u64, u64)) -> CellState {
+        for level in (0..levels).rev() {
+            let node = self.nodes[node_idx as usize];
+            if node.is_leaf() {
+                return self.classify(node.log_odds as f64, node.observed);
+            }
+            let child = node.children[octant(leaf, level)];
+            if child == 0 {
+                return CellState::Unknown;
+            }
+            node_idx = child;
+        }
+        let node = self.nodes[node_idx as usize];
+        self.classify(node.log_odds as f64, node.observed)
+    }
+
     fn classify(&self, log_odds: f64, observed: bool) -> CellState {
         if !observed {
             return CellState::Unknown;
@@ -316,34 +330,68 @@ impl OctreeMap {
     }
 }
 
+/// The child slot of `leaf`'s path below a node at `level` levels above the
+/// leaves.
+fn octant((ix, iy, iz): (u64, u64, u64), level: u32) -> usize {
+    (((ix >> level) & 1) << 2 | ((iy >> level) & 1) << 1 | ((iz >> level) & 1)) as usize
+}
+
 impl OccupancyQuery for OctreeMap {
     fn resolution(&self) -> f64 {
         self.config.resolution
     }
 
     fn state_at(&self, point: Vec3) -> CellState {
-        let Some((mut ix, mut iy, mut iz)) = self.leaf_coordinates(point) else {
-            return CellState::Unknown;
-        };
+        self.leaf_coordinates(point)
+            .map_or(CellState::Unknown, |leaf| {
+                self.state_below(0, self.depth, leaf)
+            })
+    }
+
+    /// Reads the same probes as the trait's default body, but the levels
+    /// every probe's leaf shares are descended once per query, not once per
+    /// probe. Leaf coordinates are monotone per axis, so the leaves of the
+    /// probe box's two extreme corners bound every probe's leaf: where they
+    /// agree, all probes take the same child. A pruned leaf or a missing
+    /// child on that shared path answers for every probe at once. When the
+    /// probe box leaves the map no level is shared, and each probe descends
+    /// from the root as in `state_at`.
+    fn occupied_within(&self, point: Vec3, radius: f64, treat_unknown_as_occupied: bool) -> bool {
+        let blocks = |state| occupancy_blocks(state, treat_unknown_as_occupied);
+        let probes = probes(radius, self.resolution());
         let mut node_idx = 0u32;
-        for level in (0..self.depth).rev() {
-            let node = self.nodes[node_idx as usize];
-            if node.is_leaf() {
-                return self.classify(node.log_odds as f64, node.observed);
+        let mut levels = self.depth;
+        if let (Some(lo), Some(hi)) = (
+            self.leaf_coordinates(point + probes.min),
+            self.leaf_coordinates(point + probes.max),
+        ) {
+            while levels > 0 {
+                let level = levels - 1;
+                if (lo.0 >> level, lo.1 >> level, lo.2 >> level)
+                    != (hi.0 >> level, hi.1 >> level, hi.2 >> level)
+                {
+                    break;
+                }
+                let node = self.nodes[node_idx as usize];
+                if node.is_leaf() {
+                    return blocks(self.classify(node.log_odds as f64, node.observed));
+                }
+                let child = node.children[octant(lo, level)];
+                if child == 0 {
+                    return blocks(CellState::Unknown);
+                }
+                node_idx = child;
+                levels = level;
             }
-            let octant = (((ix >> level) & 1) << 2 | ((iy >> level) & 1) << 1 | ((iz >> level) & 1))
-                as usize;
-            let child = node.children[octant];
-            if child == 0 {
-                return CellState::Unknown;
-            }
-            node_idx = child;
-            ix &= (1 << level) - 1;
-            iy &= (1 << level) - 1;
-            iz &= (1 << level) - 1;
         }
-        let node = self.nodes[node_idx as usize];
-        self.classify(node.log_odds as f64, node.observed)
+        probes.offsets.iter().any(|offset| {
+            let state = self
+                .leaf_coordinates(point + *offset)
+                .map_or(CellState::Unknown, |leaf| {
+                    self.state_below(node_idx, levels, leaf)
+                });
+            blocks(state)
+        })
     }
 
     fn memory_bytes(&self) -> usize {

@@ -11,6 +11,84 @@ fn vec3(range: std::ops::Range<f64>) -> impl Strategy<Value = Vec3> {
     (range.clone(), range.clone(), 0.5f64..12.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
 }
 
+/// The reference inflation query: the per-probe body the trait's default
+/// `occupied_within` had before its probe sets were tabled, copied verbatim
+/// over `&dyn OccupancyQuery` — 15 directions up to 2.5 cells, the sphere
+/// lattice beyond, read through nothing but `state_at` and `resolution()`.
+fn reference_occupied_within(
+    map: &dyn OccupancyQuery,
+    point: Vec3,
+    radius: f64,
+    treat_unknown_as_occupied: bool,
+) -> bool {
+    let r = radius.max(0.0);
+    let check = |p: Vec3| match map.state_at(p) {
+        CellState::Occupied => true,
+        CellState::Unknown => treat_unknown_as_occupied,
+        CellState::Free => false,
+    };
+    if r <= 2.5 * map.resolution() {
+        let d = r / 3.0f64.sqrt();
+        let offsets = [
+            Vec3::ZERO,
+            Vec3::new(r, 0.0, 0.0),
+            Vec3::new(-r, 0.0, 0.0),
+            Vec3::new(0.0, r, 0.0),
+            Vec3::new(0.0, -r, 0.0),
+            Vec3::new(0.0, 0.0, r),
+            Vec3::new(0.0, 0.0, -r),
+            Vec3::new(d, d, d),
+            Vec3::new(d, d, -d),
+            Vec3::new(d, -d, d),
+            Vec3::new(d, -d, -d),
+            Vec3::new(-d, d, d),
+            Vec3::new(-d, d, -d),
+            Vec3::new(-d, -d, d),
+            Vec3::new(-d, -d, -d),
+        ];
+        return offsets.iter().any(|offset| check(point + *offset));
+    }
+    let step = map.resolution().max(0.05);
+    let n = (r / step).ceil() as i32;
+    for dz in -n..=n {
+        for dy in -n..=n {
+            for dx in -n..=n {
+                let offset = Vec3::new(dx as f64 * step, dy as f64 * step, dz as f64 * step);
+                if offset.norm() > r + 1e-9 {
+                    continue;
+                }
+                if check(point + offset) {
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
+/// Half-extent of the maps the inflation-exactness property queries.
+const EXACT_HALF_EXTENT: f64 = 12.0;
+
+/// A coordinate in one of `bands`, the band picked by the first draw and the
+/// position inside it by the second.
+fn banded(bands: &'static [(f64, f64)]) -> impl Strategy<Value = f64> {
+    (0..bands.len(), 0.0f64..1.0).prop_map(move |(band, t)| {
+        let (lo, hi) = bands[band];
+        lo + t * (hi - lo)
+    })
+}
+
+/// A query point anywhere in the mapped volume, or on its rim, where part of
+/// the probe box leaves the map (x or y near ±[`EXACT_HALF_EXTENT`], z below
+/// the radius) or all of it does.
+fn query_point() -> impl Strategy<Value = Vec3> {
+    const H: f64 = EXACT_HALF_EXTENT;
+    const HORIZONTAL: &[(f64, f64)] = &[(-H - 1.0, -H + 2.5), (-H, H), (H - 2.5, H + 1.0)];
+    const VERTICAL: &[(f64, f64)] = &[(-0.5, 2.5), (0.0, 13.0)];
+    (banded(HORIZONTAL), banded(HORIZONTAL), banded(VERTICAL))
+        .prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -112,5 +190,89 @@ proptest! {
         let small = grid.occupied_within(probe, r_small, false);
         let large = grid.occupied_within(probe, r_small + r_extra, false);
         prop_assert!(!small || large, "larger radius must still see the obstacle");
+    }
+
+    /// The tabled inflation query is the reference query, bit for bit: the
+    /// octree's shared-level override and the grid's default body agree with
+    /// the per-probe reference at every radius either side of the 2.5-cell
+    /// switch, with unknown space read both ways, on maps with carved and
+    /// pruned free space, saturated blocks and marked points.
+    #[test]
+    fn inflation_query_matches_the_per_probe_reference(
+        origin in (-4.0f64..4.0, -4.0f64..4.0, 2.0f64..8.0),
+        wall_x in 3.0f64..10.0,
+        block in (0u64..15, 0u64..15, 0u64..8),
+        marked in prop::collection::vec(query_point(), 0..12),
+        points in prop::collection::vec(query_point(), 12..24),
+    ) {
+        let resolution = 0.4;
+        let h = EXACT_HALF_EXTENT;
+        let origin = Vec3::new(origin.0, origin.1, origin.2);
+        let mut grid = VoxelGridMap::new(VoxelGridConfig {
+            resolution,
+            half_extent_xy: h,
+            height: 14.0,
+            carve_free_space: true,
+            max_range: 40.0,
+        }).unwrap();
+        let mut tree = OctreeMap::new(OctreeConfig {
+            resolution,
+            half_extent: h,
+            max_range: 40.0,
+            ..OctreeConfig::default()
+        }).unwrap();
+        // A dense scan of a wall and the ground: rays carve free space,
+        // which prunes octree leaves into coarse free nodes.
+        let mut scan = Vec::new();
+        for i in -20..=20 {
+            for j in 0..=30 {
+                scan.push(Vec3::new(wall_x, f64::from(i) * 0.25, f64::from(j) * 0.25));
+                scan.push(Vec3::new(f64::from(j) * 0.25 - 4.0, f64::from(i) * 0.25, 0.0));
+            }
+        }
+        for _ in 0..2 {
+            grid.insert_cloud(origin, &scan);
+            tree.insert_cloud(origin, &scan);
+        }
+        // A saturated 4 × 4 × 4-leaf block, aligned so the octree prunes it
+        // into one occupied node two levels up.
+        let corner = (block.0 * 4, block.1 * 4, block.2 * 4);
+        let leaf = |i: u64, d: u64| (i + d) as f64 * resolution + resolution / 2.0;
+        for dz in 0..4 {
+            for dy in 0..4 {
+                for dx in 0..4 {
+                    let p = Vec3::new(leaf(corner.0, dx) - h, leaf(corner.1, dy) - h, leaf(corner.2, dz));
+                    grid.mark_occupied(p);
+                    tree.mark_occupied(p);
+                }
+            }
+        }
+        // The block's centre: small radii stay inside its pruned node.
+        let block_centre = Vec3::new(
+            (corner.0 + 2) as f64 * resolution - h,
+            (corner.1 + 2) as f64 * resolution - h,
+            (corner.2 + 2) as f64 * resolution,
+        );
+        for p in &marked {
+            grid.mark_occupied(*p);
+            tree.mark_occupied(*p);
+        }
+        let fixed = [origin, block_centre, Vec3::new(wall_x, 0.0, 3.0)];
+        for point in points.iter().copied().chain(fixed) {
+            for radius in [0.0, 0.5, 0.9, 1.0, 1.01, 1.6, 2.3] {
+                for unknown in [false, true] {
+                    let want = reference_occupied_within(&tree, point, radius, unknown);
+                    prop_assert_eq!(
+                        tree.occupied_within(point, radius, unknown), want,
+                        "octree at {:?}, radius {}, unknown-as-occupied {}", point, radius, unknown
+                    );
+                    let want = reference_occupied_within(&grid, point, radius, unknown);
+                    prop_assert_eq!(
+                        grid.occupied_within(point, radius, unknown), want,
+                        "grid at {:?}, radius {}, unknown-as-occupied {}", point, radius, unknown
+                    );
+                }
+            }
+        }
     }
 }

@@ -11,11 +11,19 @@
 //! * `Unknown` space is treated as traversable, so paths can cut through
 //!   volumes the local map has simply never observed — which is how V2 ends
 //!   up inside tree canopies.
+//!
+//! A query keeps one node table: per lattice node reached, whether it is
+//! blocked, its best known cost from the start and the node it was reached
+//! from. The blocked flag — an inflation query over the map — is computed
+//! the first time any expansion reaches the node and read back every time
+//! another expansion reaches it. The map cannot change during a query, so
+//! the flag is exactly what asking the map again would return; the search
+//! expands, pushes and returns exactly what it would without the table.
 
 use std::collections::{BinaryHeap, HashMap};
 
 use mls_geom::{Vec3, VoxelIndex};
-use mls_mapping::{CellState, OccupancyQuery};
+use mls_mapping::OccupancyQuery;
 use serde::{Deserialize, Serialize};
 
 use crate::{Path, PathPlanner, PlanOutcome, PlanningError};
@@ -114,19 +122,19 @@ impl AStarPlanner {
         ((self.config.max_expansions as f64 * self.budget_scale).floor() as usize).max(1)
     }
 
+    /// Whether the vehicle may not occupy `point`: outside the altitude band,
+    /// or an occupied cell (an unknown one too, unless unknown space is
+    /// optimistic) within the inflation radius. Every inflation probe set
+    /// holds `point` itself, so that covers the cell at `point`.
     fn node_blocked(&self, map: &dyn OccupancyQuery, point: Vec3) -> bool {
         if point.z < self.config.min_altitude || point.z > self.config.max_altitude {
             return true;
         }
-        match map.state_at(point) {
-            CellState::Occupied => true,
-            CellState::Unknown if !self.config.optimistic_unknown => true,
-            _ => map.occupied_within(
-                point,
-                self.config.inflation_radius,
-                !self.config.optimistic_unknown,
-            ),
-        }
+        map.occupied_within(
+            point,
+            self.config.inflation_radius,
+            !self.config.optimistic_unknown,
+        )
     }
 }
 
@@ -134,6 +142,17 @@ impl Default for AStarPlanner {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// One lattice node of a query's node table.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// [`AStarPlanner::node_blocked`] at the node's centre.
+    blocked: bool,
+    /// Best known cost from the start; infinite until a path reaches it.
+    g: f64,
+    /// The node the best known path reached this one from.
+    parent: VoxelIndex,
 }
 
 /// Open-set entry ordered by lowest f-cost.
@@ -181,9 +200,17 @@ impl PathPlanner for AStarPlanner {
         let goal_index = VoxelIndex::from_point(goal, res);
 
         let mut open = BinaryHeap::new();
-        let mut g_cost: HashMap<VoxelIndex, f64> = HashMap::new();
-        let mut parent: HashMap<VoxelIndex, VoxelIndex> = HashMap::new();
-        g_cost.insert(start_index, 0.0);
+        let mut nodes: HashMap<VoxelIndex, Node> = HashMap::new();
+        // The start node's flag is read at its lattice centre, like every
+        // other node's; the start point itself was checked above.
+        nodes.insert(
+            start_index,
+            Node {
+                blocked: self.node_blocked(map, start_index.center(res)),
+                g: 0.0,
+                parent: start_index,
+            },
+        );
         open.push(OpenEntry {
             f_cost: start.distance(goal),
             index: start_index,
@@ -206,7 +233,7 @@ impl PathPlanner for AStarPlanner {
                 let mut cursor = index;
                 while cursor != start_index {
                     waypoints.push(cursor.center(res));
-                    cursor = parent[&cursor];
+                    cursor = nodes[&cursor].parent;
                 }
                 waypoints.push(start);
                 waypoints.reverse();
@@ -216,21 +243,22 @@ impl PathPlanner for AStarPlanner {
                 });
             }
 
-            let current_g = g_cost[&index];
+            let current_g = nodes[&index].g;
             for neighbor in index.all_neighbors() {
                 let neighbor_center = neighbor.center(res);
-                if self.node_blocked(map, neighbor_center) {
+                let node = nodes.entry(neighbor).or_insert_with(|| Node {
+                    blocked: self.node_blocked(map, neighbor_center),
+                    g: f64::INFINITY,
+                    parent: neighbor,
+                });
+                if node.blocked {
                     continue;
                 }
                 let step = center.distance(neighbor_center);
                 let tentative = current_g + step;
-                if g_cost
-                    .get(&neighbor)
-                    .map(|&g| tentative < g)
-                    .unwrap_or(true)
-                {
-                    g_cost.insert(neighbor, tentative);
-                    parent.insert(neighbor, index);
+                if tentative < node.g {
+                    node.g = tentative;
+                    node.parent = index;
                     open.push(OpenEntry {
                         f_cost: tentative + neighbor_center.distance(goal),
                         index: neighbor,

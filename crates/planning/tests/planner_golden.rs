@@ -5,7 +5,10 @@
 //! the default global octree, empty and with a wall across the straight
 //! path at the default (0.9 m) and `fig6-constrained` (1.6 m) inflation
 //! radii; octrees with 0, 6 and 18 pillars between start and goal; a query
-//! starved through `set_budget_scale`; and a goal inside the wall. Each case
+//! starved through `set_budget_scale`; a goal inside the wall; and a grid and
+//! an octree filled by `insert_cloud` from a synthetic scan of the wall, so
+//! carved free space, unknown space and pruned octree leaves are planned
+//! over too, optimistically and conservatively. Each case
 //! records the iteration count and every waypoint coordinate through
 //! `to_bits`, or the error's variant and iterations, so a planner rewrite
 //! that moves a single bit of any path fails here, naming the case.
@@ -85,6 +88,44 @@ fn octree(wall: bool) -> OctreeMap {
     let mut tree = OctreeMap::new(OctreeConfig::default()).unwrap();
     if wall {
         add_wall(&mut |p| tree.mark_occupied(p));
+    }
+    tree
+}
+
+/// A synthetic depth scan taken from [`START`]: returns every 0.2 m on the
+/// face of the wall [`add_wall`] marks and on the ground in front of it.
+fn wall_scan() -> Vec<Vec3> {
+    let mut points = Vec::new();
+    for iy in -30..=30 {
+        for iz in 0..=60 {
+            points.push(Vec3::new(8.0, f64::from(iy) * 0.2, f64::from(iz) * 0.2));
+        }
+    }
+    for ix in -40..40 {
+        for iy in -40..=40 {
+            points.push(Vec3::new(f64::from(ix) * 0.2, f64::from(iy) * 0.2, 0.0));
+        }
+    }
+    points
+}
+
+/// The default local grid after two passes of [`wall_scan`].
+fn scanned_grid() -> VoxelGridMap {
+    let mut grid = VoxelGridMap::new(VoxelGridConfig::default()).unwrap();
+    let scan = wall_scan();
+    for _ in 0..2 {
+        grid.insert_cloud(START, &scan);
+    }
+    grid
+}
+
+/// The default octree after two passes of [`wall_scan`], enough hits for
+/// the returns to read occupied; the carved space prunes into coarse leaves.
+fn scanned_octree() -> OctreeMap {
+    let mut tree = OctreeMap::new(OctreeConfig::default()).unwrap();
+    let scan = wall_scan();
+    for _ in 0..2 {
+        tree.insert_cloud(START, &scan);
     }
     tree
 }
@@ -206,6 +247,28 @@ fn cases() -> Vec<Case> {
         rrt_star(DEFAULT_INFLATION, 3),
         octree(true),
         Vec3::new(8.0, 0.0, 5.0),
+    ));
+    cases.push(case(
+        "astar scanned-grid-1.6",
+        astar(CONSTRAINED_INFLATION),
+        scanned_grid(),
+        GOAL,
+    ));
+    cases.push(case(
+        "rrt-star scanned-octree-1.6",
+        rrt_star(CONSTRAINED_INFLATION, 11),
+        scanned_octree(),
+        GOAL,
+    ));
+    cases.push(case(
+        "astar scanned-grid-conservative",
+        AStarPlanner::with_config(AStarConfig {
+            inflation_radius: 0.3,
+            optimistic_unknown: false,
+            ..AStarConfig::default()
+        }),
+        scanned_grid(),
+        Vec3::new(6.0, 2.0, 2.0),
     ));
     cases
 }
